@@ -36,7 +36,6 @@ echo "== fuzz smoke (10s per target) =="
 go test -run '^$' -fuzz '^FuzzMatrixAt$' -fuzztime 10s ./internal/profile
 go test -run '^$' -fuzz '^FuzzSetProv$' -fuzztime 10s ./internal/profile
 go test -run '^$' -fuzz '^FuzzHeteroPolicies$' -fuzztime 10s ./internal/hetero
-go test -run '^$' -fuzz '^FuzzDeltaPredictIdxEquivalence$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzDeltaPredictPosEquivalence$' -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzFleetSpec$' -fuzztime 10s ./internal/fleet

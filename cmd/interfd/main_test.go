@@ -228,15 +228,13 @@ func TestDaemonBoundedRounds(t *testing.T) {
 	}
 }
 
-// TestDaemonSpeculativeExchangeTelemetry runs bounded rounds with the
-// hierarchical search in speculative mode and checks the exchange-phase
-// telemetry — proposals, accepted, conflicts, batch occupancy — lands in
-// the final RunReport.
-func TestDaemonSpeculativeExchangeTelemetry(t *testing.T) {
+// TestDaemonExchangeTelemetry runs bounded rounds with the hierarchical
+// search and checks the exchange-phase telemetry — proposals, accepted,
+// conflicts, batch occupancy — lands in the final RunReport.
+func TestDaemonExchangeTelemetry(t *testing.T) {
 	_, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
 		c.rounds = 2
 		c.searchCells = 4
-		c.searchExWorkers = 4
 	})
 	defer cancel()
 	select {

@@ -1,14 +1,14 @@
 // Incremental prediction: the placement search proposes thousands of
 // single-swap neighbours per second, and a swap touches at most two
 // hosts — so only the applications with units on those hosts can see a
-// different pressure vector. DeltaPredict re-predicts exactly that
-// affected set against a cached per-app prediction map, and
-// PredictionCache memoizes predictions by (app, pressure vector) so
+// different pressure vector. DeltaPredictPos (postings.go) re-predicts
+// exactly that affected set against a cached per-app prediction slice,
+// and PredictionCache memoizes predictions by (app, pressure vector) so
 // proposals that revisit a configuration skip the policy conversion and
 // matrix lookup entirely.
 //
 // The cache is deliberately not a Go map keyed by bytes: profiling the
-// old scheme showed ~3/4 of DeltaPredict spent hashing and comparing
+// old scheme showed ~3/4 of delta prediction spent hashing and comparing
 // byte keys (aeshash + mapaccess + memequal). Instead, app names are
 // interned once into dense int32 IDs and the (id, pressure-vector)
 // pairs live in open-addressed tables whose keys are normalized float
@@ -22,12 +22,9 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/bubble"
-	"repro/internal/cluster"
 )
 
 // keyBits returns the hash/equality bits of one pressure entry: the
@@ -245,7 +242,7 @@ type PredictionCache struct {
 	// co-location rule a unit has at most one co-runner, so the combine
 	// value is a function of that co-runner's dense app index alone —
 	// a direct array load instead of a hashed probe. Valid only under a
-	// single AppsIndex binding per cache (see DeltaPredictIdx).
+	// single AppsIndex binding per cache (see DeltaPredictPos).
 	c1                         []float64 // single-co-runner combine value, by app index
 	c1ok                       []bool
 	cEmpty                     float64 // combine value of the empty co-runner vector
@@ -404,89 +401,11 @@ func (c *PredictionCache) CombineStats() (hits, misses uint64) {
 	return c.combineHits, c.combineMisses
 }
 
-// Len reports the number of memoized predictions.
+// Len reports the number of memoized predictions, under either key
+// encoding (float vector or pairwise co-runner IDs).
 func (c *PredictionCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return c.pt.n
-}
-
-// DeltaPredict re-predicts only the listed applications of p and writes
-// the results into out, leaving every other entry untouched. Calling it
-// with an application set covering two swapped hosts turns a full
-// placement re-prediction into a two-host delta: an application with no
-// unit on a touched host keeps its pressure vector, hence its cached
-// prediction. With apps = p.Apps() it is a full PredictPlacement into
-// out. cache may be nil.
-func DeltaPredict(p *cluster.Placement, apps []string, predictors map[string]Predictor, scores map[string]float64, cache *PredictionCache, out map[string]float64) error {
-	if p == nil {
-		return errors.New("core: nil placement")
-	}
-	if out == nil {
-		return errors.New("core: nil prediction map")
-	}
-	for _, a := range apps {
-		pred, ok := predictors[a]
-		if !ok {
-			return fmt.Errorf("core: no predictor for %q", a)
-		}
-		ps, err := appendPressures(p, a, scores, cache)
-		if err != nil {
-			return err
-		}
-		v, err := cache.Predict(a, pred, ps)
-		if err != nil {
-			return err
-		}
-		out[a] = v
-	}
-	return nil
-}
-
-// appendPressures computes PressuresFor(p, app, scores) into the cache's
-// scratch buffers (allocating fresh slices when cache is nil). The
-// returned slice is only valid until the next call with the same cache;
-// computation order matches PressuresFor exactly so results are
-// bit-identical.
-func appendPressures(p *cluster.Placement, app string, scores map[string]float64, cache *PredictionCache) ([]float64, error) {
-	var out, co []float64
-	if cache != nil {
-		out, co = cache.ps[:0], cache.co[:0]
-	}
-	for h := 0; h < p.NumHosts; h++ {
-		row := p.Slots(h)
-		for s := range row {
-			if row[s] != app {
-				continue
-			}
-			co = co[:0]
-			for o := range row {
-				if o == s {
-					continue
-				}
-				other := row[o]
-				if other == "" {
-					continue
-				}
-				sc, ok := scores[other]
-				if !ok {
-					return nil, fmt.Errorf("core: no bubble score for %q", other)
-				}
-				co = append(co, sc)
-			}
-			combined, err := cache.combine(co)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, combined)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("core: app %q not in placement", app)
-	}
-	if cache != nil {
-		cache.ps, cache.co = out, co
-	}
-	return out, nil
+	return c.pt.n + c.ptW.n
 }

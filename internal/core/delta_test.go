@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -51,8 +52,68 @@ func deltaFixture(t *testing.T) (*cluster.Placement, map[string]Predictor, map[s
 	return p, preds, scores, calls
 }
 
-// TestDeltaPredictMatchesFull: DeltaPredict over all apps must reproduce
-// PredictPlacement exactly, cached or not.
+// posMirror is the indexed mirror of a placement through which the
+// delta-predict tests drive DeltaPredictPos: grid and postings are kept
+// in lockstep with the placement by swap.
+type posMirror struct {
+	p   *cluster.Placement
+	ix  *AppsIndex
+	g   *Grid
+	pst *Postings
+	all []int32 // every dense app index
+	out []float64
+}
+
+func newPosMirror(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64) *posMirror {
+	t.Helper()
+	ix, err := NewAppsIndex(p.Apps(), preds, scores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGrid(p, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int32, len(ix.Apps))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return &posMirror{p: p, ix: ix, g: g, pst: NewPostings(g, len(ix.Apps)), all: all, out: make([]float64, len(all))}
+}
+
+// swap applies one slot swap to the placement and its mirror.
+func (m *posMirror) swap(t testing.TB, ha, sa, hb, sb int) {
+	t.Helper()
+	if err := m.p.Swap(ha, sa, hb, sb); err != nil {
+		t.Fatal(err)
+	}
+	m.g.Swap(ha, sa, hb, sb)
+	m.pst.Swap(m.g, ha, sa, hb, sb)
+}
+
+// predict re-predicts the named apps through DeltaPredictPos and
+// returns the whole incrementally maintained prediction set by name.
+func (m *posMirror) predict(apps []string, cache *PredictionCache) (map[string]float64, error) {
+	ids := make([]int32, len(apps))
+	for i, a := range apps {
+		id, ok := m.ix.IndexOf(a)
+		if !ok {
+			return nil, fmt.Errorf("app %q not indexed", a)
+		}
+		ids[i] = id
+	}
+	if err := DeltaPredictPos(m.g, m.pst, ids, m.ix, cache, m.out); err != nil {
+		return nil, err
+	}
+	res := make(map[string]float64, len(m.out))
+	for i, a := range m.ix.Apps {
+		res[a] = m.out[i]
+	}
+	return res, nil
+}
+
+// TestDeltaPredictMatchesFull: DeltaPredictPos over all apps must
+// reproduce PredictPlacement exactly, cached or not.
 func TestDeltaPredictMatchesFull(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
 	want, err := PredictPlacement(p, preds, scores)
@@ -60,8 +121,8 @@ func TestDeltaPredictMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cache := range []*PredictionCache{nil, NewPredictionCache()} {
-		got := map[string]float64{}
-		if err := DeltaPredict(p, p.Apps(), preds, scores, cache, got); err != nil {
+		got, err := newPosMirror(t, p, preds, scores).predict(p.Apps(), cache)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
@@ -80,9 +141,9 @@ func TestDeltaPredictMatchesFull(t *testing.T) {
 // re-prediction of the swapped placement.
 func TestDeltaPredictAfterSwap(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
+	m := newPosMirror(t, p, preds, scores)
 	cache := NewPredictionCache()
-	pred := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, pred); err != nil {
+	if _, err := m.predict(p.Apps(), cache); err != nil {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(11)
@@ -99,20 +160,17 @@ func TestDeltaPredictAfterSwap(t *testing.T) {
 				affected[a] = true
 			}
 		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
+		m.swap(t, ha, sa, hb, sb)
 		if p.Validate() != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil { // undo
-				t.Fatal(err)
-			}
+			m.swap(t, ha, sa, hb, sb) // undo
 			continue
 		}
 		var apps []string
 		for a := range affected {
 			apps = append(apps, a)
 		}
-		if err := DeltaPredict(p, apps, preds, scores, cache, pred); err != nil {
+		pred, err := m.predict(apps, cache)
+		if err != nil {
 			t.Fatal(err)
 		}
 		want, err := PredictPlacement(p, preds, scores)
@@ -132,17 +190,18 @@ func TestDeltaPredictAfterSwap(t *testing.T) {
 // return the exact value of the original computation.
 func TestPredictionCacheHitsAndPurity(t *testing.T) {
 	p, preds, scores, calls := deltaFixture(t)
+	mir := newPosMirror(t, p, preds, scores)
 	cache := NewPredictionCache()
-	first := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, first); err != nil {
+	first, err := mir.predict(p.Apps(), cache)
+	if err != nil {
 		t.Fatal(err)
 	}
 	callsAfterFirst := *calls
 	if callsAfterFirst == 0 {
 		t.Fatal("no predictor calls on cold cache")
 	}
-	second := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, second); err != nil {
+	second, err := mir.predict(p.Apps(), cache)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if *calls != callsAfterFirst {
@@ -178,29 +237,42 @@ func TestPredictionCacheHitsAndPurity(t *testing.T) {
 	}
 }
 
-// TestDeltaPredictErrors covers the failure paths.
+// TestDeltaPredictErrors covers the failure paths of DeltaPredictPos
+// on both its pairwise (cached) and generic (nil-cache) loops.
 func TestDeltaPredictErrors(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
-	if err := DeltaPredict(nil, []string{"a"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("nil placement should fail")
-	}
-	if err := DeltaPredict(p, []string{"a"}, preds, scores, nil, nil); err == nil {
-		t.Error("nil out map should fail")
-	}
-	if err := DeltaPredict(p, []string{"ghost"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("unknown app should fail")
-	}
+	caches := func() []*PredictionCache { return []*PredictionCache{nil, NewPredictionCache()} }
+
+	// An indexed app with no unit in the placement.
 	preds["ghost2"] = sumPred{1}
-	if err := DeltaPredict(p, []string{"ghost2"}, preds, scores, nil, map[string]float64{}); err == nil {
-		t.Error("app missing from placement should fail")
+	ix, err := NewAppsIndex(append(p.Apps(), "ghost2"), preds, scores)
+	if err != nil {
+		t.Fatal(err)
 	}
+	g, err := NewGrid(p, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost, _ := ix.IndexOf("ghost2")
+	for _, cache := range caches() {
+		out := make([]float64, len(ix.Apps))
+		if err := DeltaPredictPos(g, NewPostings(g, len(ix.Apps)), []int32{ghost}, ix, cache, out); err == nil {
+			t.Errorf("cache=%v: app missing from placement should fail", cache != nil)
+		}
+	}
+	delete(preds, "ghost2")
+
 	badScores := map[string]float64{"a": 0.5} // others missing
-	if err := DeltaPredict(p, []string{"a"}, preds, badScores, nil, map[string]float64{}); err == nil {
-		t.Error("missing co-runner score should fail")
+	for _, cache := range caches() {
+		if _, err := newPosMirror(t, p, preds, badScores).predict(p.Apps(), cache); err == nil {
+			t.Errorf("cache=%v: missing co-runner score should fail", cache != nil)
+		}
 	}
 	failing := map[string]Predictor{"a": failPred{}, "b": sumPred{0}, "c": sumPred{0}, "d": sumPred{0}}
-	if err := DeltaPredict(p, []string{"a"}, failing, scores, NewPredictionCache(), map[string]float64{}); err == nil {
-		t.Error("predictor error should propagate")
+	for _, cache := range caches() {
+		if _, err := newPosMirror(t, p, failing, scores).predict([]string{"a"}, cache); err == nil {
+			t.Errorf("cache=%v: predictor error should propagate", cache != nil)
+		}
 	}
 }
 

@@ -104,48 +104,21 @@ func TestCacheSignedZeroHits(t *testing.T) {
 
 // TestCombineStatsVisible: the co-runner combine memo used to count its
 // traffic nowhere. Both sides of the pair must now be observable, on
-// the string path and the indexed path.
+// the pairwise layout (direct-array memos) and on a three-slot layout,
+// whose two-co-runner vectors reach the hashed combine memo.
 func TestCombineStatsVisible(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
-	cache := NewPredictionCache()
-	out := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, out); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := cache.CombineStats(); misses == 0 {
-		t.Error("cold pass: combine misses = 0, want > 0")
-	}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, cache, out); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ := cache.CombineStats()
-	if hits == 0 {
-		t.Error("warm pass: combine hits = 0, want > 0")
-	}
+	checkCombineStats(t, "pairwise", p, preds, scores)
 
-	// Indexed path: same invariant through the direct-array memos.
-	ix, err := NewAppsIndex(p.Apps(), preds, scores)
+	p3, err := cluster.RandomValidLimit(sim.NewRNG(5), 6, 3, 3, []cluster.Demand{
+		{App: "a", Units: 4}, {App: "b", Units: 4},
+		{App: "c", Units: 4}, {App: "d", Units: 4},
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGrid(p, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	icache := NewPredictionCache()
-	all := make([]int32, len(p.Apps()))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	pred := make([]float64, len(all))
-	for pass := 0; pass < 2; pass++ {
-		if err := DeltaPredictIdx(g, all, ix, icache, pred); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ihits, imisses := icache.CombineStats()
-	if ihits == 0 || imisses == 0 {
-		t.Errorf("indexed combine stats hits=%d misses=%d, want both > 0", ihits, imisses)
+	if cache := checkCombineStats(t, "three-slot", p3, preds, scores); cache.ct.n == 0 {
+		t.Error("three-slot layout never reached the hashed combine memo")
 	}
 
 	var nilCache *PredictionCache
@@ -154,49 +127,63 @@ func TestCombineStatsVisible(t *testing.T) {
 	}
 }
 
-// --- equivalence: indexed path vs the retained string path ------------
-
-// idxFixture mirrors a placement into the indexed scheme.
-func idxFixture(t testing.TB, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64) (*AppsIndex, *Grid, []int32, []float64) {
+// checkCombineStats predicts every app of p twice through
+// DeltaPredictPos on one cache: the cold pass must count combine
+// misses, the warm pass combine hits.
+func checkCombineStats(t *testing.T, tag string, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64) *PredictionCache {
 	t.Helper()
-	ix, err := NewAppsIndex(p.Apps(), preds, scores)
-	if err != nil {
+	m := newPosMirror(t, p, preds, scores)
+	cache := NewPredictionCache()
+	if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, cache, m.out); err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGrid(p, ix)
-	if err != nil {
+	if _, misses := cache.CombineStats(); misses == 0 {
+		t.Errorf("%s cold pass: combine misses = 0, want > 0", tag)
+	}
+	if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, cache, m.out); err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int32, len(p.Apps()))
-	for i := range all {
-		all[i] = int32(i)
+	if hits, _ := cache.CombineStats(); hits == 0 {
+		t.Errorf("%s warm pass: combine hits = 0, want > 0", tag)
 	}
-	return ix, g, all, make([]float64, len(all))
+	return cache
 }
 
-// checkIdxEquivalence predicts p through both paths (string-keyed
-// DeltaPredict with refCache, DeltaPredictIdx with idxCache, either of
-// which may be nil) and fails unless every prediction is bit-identical.
-func checkIdxEquivalence(t testing.TB, tag string, p *cluster.Placement, preds map[string]Predictor, scores map[string]float64, refCache, idxCache *PredictionCache, ix *AppsIndex, g *Grid, all []int32, out []float64) {
+// --- equivalence: index-keyed cache vs name-keyed cache ---------------
+
+// checkIdxEquivalence predicts every app of p through both cache
+// keyings — by name (PressuresFor, then refCache.Predict) and by dense
+// AppsIndex index (DeltaPredictPos, which memoizes through PredictIdx
+// and the pairwise co-runner keys into idxCache, possibly nil or the
+// same cache as refCache) — and fails unless every prediction is
+// bit-identical.
+func checkIdxEquivalence(t testing.TB, tag string, m *posMirror, preds map[string]Predictor, scores map[string]float64, refCache, idxCache *PredictionCache) {
 	t.Helper()
-	want := map[string]float64{}
-	if err := DeltaPredict(p, p.Apps(), preds, scores, refCache, want); err != nil {
-		t.Fatalf("%s: reference path: %v", tag, err)
-	}
-	if err := DeltaPredictIdx(g, all, ix, idxCache, out); err != nil {
+	if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, idxCache, m.out); err != nil {
 		t.Fatalf("%s: indexed path: %v", tag, err)
 	}
-	for i, a := range ix.Apps {
-		if out[i] != want[a] {
-			t.Fatalf("%s: app %s = %v via indexed path, want %v (bit-exact)", tag, a, out[i], want[a])
+	for i, a := range m.ix.Apps {
+		ps, err := PressuresFor(m.p, a, scores)
+		if err != nil {
+			t.Fatalf("%s: pressures of %s: %v", tag, a, err)
+		}
+		want, err := refCache.Predict(a, preds[a], ps)
+		if err != nil {
+			t.Fatalf("%s: name-keyed path: %v", tag, err)
+		}
+		if math.Float64bits(m.out[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: app %s = %v via indexed path, want %v (bit-exact)", tag, a, m.out[i], want)
 		}
 	}
 }
 
 // TestDeltaPredictIdxEquivalence drives random placements and swap
-// sequences through the indexed path and the retained string path,
-// demanding bit-identical predictions at every step — cold caches, warm
-// caches, nil cache, pairwise (2 slots) and generic (3 slots) layouts.
+// sequences through the index-keyed cache path and the name-keyed cache
+// path, demanding bit-identical predictions at every step — cold and
+// warm caches, a nil index cache, one cache shared by both keyings
+// (PredictIdx keys must never alias Predict keys), pairwise (2 slots)
+// and generic (3 slots) layouts, a NUL byte in an app name and a -0
+// bubble score.
 func TestDeltaPredictIdxEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, sph := range []int{2, 3} {
@@ -227,11 +214,14 @@ func testIdxEquivalence(t testing.TB, seed int64, sph int, nilIdxCache bool) {
 
 	refCache := NewPredictionCache()
 	idxCache := NewPredictionCache()
-	if nilIdxCache {
+	switch {
+	case nilIdxCache:
 		idxCache = nil
+	case seed%3 == 0:
+		idxCache = refCache
 	}
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	checkIdxEquivalence(t, fmt.Sprintf("seed=%d sph=%d cold", seed, sph), p, preds, scores, refCache, idxCache, ix, g, all, out)
+	m := newPosMirror(t, p, preds, scores)
+	checkIdxEquivalence(t, fmt.Sprintf("seed=%d sph=%d cold", seed, sph), m, preds, scores, refCache, idxCache)
 
 	rng := sim.NewRNG(seed + 1000)
 	slots := hosts * sph
@@ -242,24 +232,19 @@ func testIdxEquivalence(t testing.TB, seed int64, sph int, nilIdxCache bool) {
 		if p.At(ha, sa) == p.At(hb, sb) {
 			continue
 		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
+		m.swap(t, ha, sa, hb, sb)
 		if p.ValidateHosts(ha, hb) != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
+			m.swap(t, ha, sa, hb, sb)
 			continue
 		}
-		g.Swap(ha, sa, hb, sb)
 		tag := fmt.Sprintf("seed=%d sph=%d step=%d", seed, sph, step)
-		checkIdxEquivalence(t, tag, p, preds, scores, refCache, idxCache, ix, g, all, out)
+		checkIdxEquivalence(t, tag, m, preds, scores, refCache, idxCache)
 	}
 }
 
-// FuzzDeltaPredictIdxEquivalence is the fuzz form of the equivalence
-// property: whatever the layout seed, slot count, and swap stream, the
-// flat indexed path must match the retained string path bit for bit.
+// FuzzDeltaPredictIdxEquivalence is the fuzz form of the cache-keying
+// equivalence: whatever the layout seed, slot count, and swap stream,
+// the index-keyed path must match the name-keyed path bit for bit.
 func FuzzDeltaPredictIdxEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), false)
 	f.Add(int64(2), uint8(3), false)
@@ -273,21 +258,21 @@ func FuzzDeltaPredictIdxEquivalence(f *testing.F) {
 // --- allocation pins ---------------------------------------------------
 
 // TestPredictHotPathZeroAllocs pins the steady-state hot path at zero
-// allocations: warm indexed delta prediction, warm string-keyed
-// prediction, and warm PredictIdx must not touch the heap.
+// allocations: warm delta prediction, warm string-keyed prediction, and
+// warm PredictIdx must not touch the heap.
 func TestPredictHotPathZeroAllocs(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
 	cache := NewPredictionCache()
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	if err := DeltaPredictIdx(g, all, ix, cache, out); err != nil {
+	m := newPosMirror(t, p, preds, scores)
+	if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, cache, m.out); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := DeltaPredictIdx(g, all, ix, cache, out); err != nil {
+		if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, cache, m.out); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm DeltaPredictIdx allocates %v/run, want 0", allocs)
+		t.Errorf("warm DeltaPredictPos allocates %v/run, want 0", allocs)
 	}
 
 	ps := []float64{6, 0.5, 0.5}
@@ -302,11 +287,11 @@ func TestPredictHotPathZeroAllocs(t *testing.T) {
 		t.Errorf("warm Predict allocates %v/run, want 0", allocs)
 	}
 
-	if _, err := cache.PredictIdx(0, ix.preds[0], ps); err != nil {
+	if _, err := cache.PredictIdx(0, m.ix.preds[0], ps); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, err := cache.PredictIdx(0, ix.preds[0], ps); err != nil {
+		if _, err := cache.PredictIdx(0, m.ix.preds[0], ps); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -328,14 +313,18 @@ func TestIndexedErrors(t *testing.T) {
 	if _, ok := ix.IndexOf("ghost"); ok {
 		t.Error("IndexOf(ghost) must report absence")
 	}
-	if err := DeltaPredictIdx(nil, nil, ix, nil, []float64{}); err == nil {
-		t.Error("nil grid must fail")
-	}
 	g, err := NewGrid(p, ix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := DeltaPredictIdx(g, nil, ix, nil, nil); err == nil {
+	pst := NewPostings(g, len(ix.Apps))
+	if err := DeltaPredictPos(nil, pst, nil, ix, nil, []float64{}); err == nil {
+		t.Error("nil grid must fail")
+	}
+	if err := DeltaPredictPos(g, nil, nil, ix, nil, []float64{}); err == nil {
+		t.Error("nil postings must fail")
+	}
+	if err := DeltaPredictPos(g, pst, nil, ix, nil, nil); err == nil {
 		t.Error("nil out slice must fail")
 	}
 	// A placement holding an app outside the index must fail mirroring.

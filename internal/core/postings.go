@@ -1,15 +1,13 @@
-// Per-app unit postings: the delta-prediction scan was the last
-// full-grid walk left in the placement hot loop — appendPressuresIdx
-// and appendPressuresPair visit every cell of the cluster to find the
-// handful of slots an affected app occupies, which at fleet scale
-// (thousands of hosts, a few units per app) is ~99% wasted loads.
+// Per-app unit postings: a delta prediction needs the handful of slots
+// each affected app occupies, and a full-grid walk to find them is ~99%
+// wasted loads at fleet scale (thousands of hosts, a few units per app).
 // Postings keeps, for each dense app index, the sorted list of flat
 // grid positions its units occupy, maintained incrementally under the
 // same Swap calls that keep the Grid in sync. Positions ascend, and a
-// flat position ordering is exactly the host-major/slot-minor scan
-// order of the full-grid walk, so the pressure vectors built from a
-// postings walk are bit-identical to the scan path's — same elements,
-// same order, same CombineScores inputs.
+// flat position ordering is exactly the host-major/slot-minor order in
+// which PressuresFor visits an app's units, so the pressure vectors
+// built from a postings walk are bit-identical to PredictPlacement's —
+// same elements, same order, same CombineScores inputs.
 package core
 
 import (
@@ -75,14 +73,6 @@ func (p *Postings) Rebuild(g *Grid, napps int) {
 	}
 }
 
-// CopyFrom makes p an independent copy of src, reusing capacity. The
-// speculative exchange workers resynchronize their engines from the
-// authoritative state once per batch with this.
-func (p *Postings) CopyFrom(src *Postings) {
-	p.off = append(p.off[:0], src.off...)
-	p.pos = append(p.pos[:0], src.pos...)
-}
-
 // seg returns app id's position segment.
 func (p *Postings) seg(id int32) []int32 {
 	return p.pos[p.off[id]:p.off[id+1]]
@@ -136,12 +126,21 @@ func (p *Postings) move(app, from, to int32) {
 	}
 }
 
-// DeltaPredictPos is DeltaPredictIdx driven by postings instead of
-// full-grid scans: each affected app's pressure vector is built by
-// walking its own unit positions (ascending flat position = host-major
-// scan order), so outputs are bit-identical to DeltaPredictIdx while
-// the per-app cost drops from O(cluster) to O(units). pst must mirror
-// g; cache may be nil (plain prediction, generic path only).
+// DeltaPredictPos re-predicts only the affected apps (dense indexes)
+// of the mirrored placement and writes the results into out (indexed
+// the same way), leaving every other entry untouched. Each affected
+// app's pressure vector is built by walking its own unit positions
+// (ascending flat position = host-major scan order), so outputs are
+// bit-identical to PredictPlacement on the mirrored placement while the
+// per-app cost is O(units). pst must mirror g; cache may be nil (plain
+// prediction, generic path only).
+//
+// With a cache and two slots per host — the paper's pairwise
+// co-location rule — the hot loop builds, per affected app, both the
+// pressure vector and its co-runner ID key words with the table hash
+// folded in as it goes, so a steady-state call is int loads, a handful
+// of multiply-folds, and one probe per app: no float hashing, no
+// strings, no allocation.
 func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, cache *PredictionCache, out []float64) error {
 	if g == nil {
 		return errors.New("core: nil grid")
@@ -188,10 +187,15 @@ func DeltaPredictPos(g *Grid, pst *Postings, affected []int32, ix *AppsIndex, ca
 	return nil
 }
 
-// appendPressuresPairPos is appendPressuresPair over postings: with two
-// slots per host, position p's sole co-runner slot is p^1. A host
-// carrying the app in both slots contributes position 2h then 2h+1 —
-// co-runners a1 then a0 — exactly the pair scan's emission order.
+// appendPressuresPairPos is appendPressuresPos specialized for the
+// pairwise rule: with two slots per host, position p's sole co-runner
+// slot is p^1, so a combine is one array probe (cache.c1 / cache.cEmpty)
+// on the hit path. A host carrying the app in both slots contributes
+// position 2h then 2h+1 — co-runners a1 then a0 — exactly PressuresFor's
+// emission order. Alongside the float vector it returns the unit
+// co-runner IDs encoded as key words plus their running multiply-fold
+// hash, which DeltaPredictPos uses to probe the prediction memo without
+// touching the floats again.
 func appendPressuresPairPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, []uint64, uint64, error) {
 	out := cache.ps[:0]
 	kw := cache.kw[:0]
@@ -216,9 +220,11 @@ func appendPressuresPairPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cac
 	return out, kw, mix64(h), nil
 }
 
-// appendPressuresPos is appendPressuresIdx over postings: same per-unit
-// co-runner walk (slot order, skipping self and empties), driven by the
-// app's own positions instead of a full-grid scan.
+// appendPressuresPos computes PressuresFor over the grid into the
+// cache's scratch buffers (fresh slices when cache is nil): the same
+// per-unit co-runner walk (slot order, skipping self and empties),
+// driven by the app's own positions instead of a full-grid scan. The
+// returned slice is only valid until the next call with the same cache.
 func appendPressuresPos(g *Grid, pst *Postings, id int32, ix *AppsIndex, cache *PredictionCache) ([]float64, error) {
 	var out, co []float64
 	if cache != nil {

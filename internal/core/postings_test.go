@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -29,12 +30,13 @@ func checkPostings(t testing.TB, tag string, g *Grid, pst *Postings, napps int) 
 	}
 }
 
-// TestDeltaPredictPosEquivalence drives random placements and swap
-// sequences through the postings path and the full-scan indexed path,
-// demanding bit-identical predictions at every step, and checks the
-// incremental Swap maintenance against a from-scratch Rebuild. Covers
-// the pairwise layout (2 slots), the generic layout (3 slots), and the
-// nil-cache generic path.
+// TestDeltaPredictPosEquivalence drives random placements and swap/undo
+// sequences through DeltaPredictPos and the from-scratch PredictPlacement
+// oracle on the mirrored placement, demanding bit-identical predictions
+// at every step, and checks the incremental Swap maintenance against a
+// from-scratch Rebuild. Covers cold and warm caches, the pairwise layout
+// (2 slots), the generic layout (3 slots), the nil-cache generic path,
+// a NUL byte in an app name, and a -0 bubble score.
 func TestDeltaPredictPosEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, sph := range []int{2, 3} {
@@ -58,18 +60,19 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 		t.Fatal(err)
 	}
 	scores := map[string]float64{"a": 0.5, "b": 0.5, "c\x00c": 6, "d": 2}
+	if seed%2 == 1 {
+		scores["d"] = math.Copysign(0, -1)
+	}
 	preds := map[string]Predictor{
 		"a": sumPred{0.3}, "b": sumPred{0.01}, "c\x00c": sumPred{0.02}, "d": sumPred{0.05},
 	}
-	ix, g, all, out := idxFixture(t, p, preds, scores)
-	pst := NewPostings(g, len(ix.Apps))
+	m := newPosMirror(t, p, preds, scores)
+	ix, g, pst := m.ix, m.g, m.pst
 
-	idxCache := NewPredictionCache()
-	posCache := NewPredictionCache()
+	cache := NewPredictionCache()
 	if nilCache {
-		idxCache, posCache = nil, nil
+		cache = nil
 	}
-	want := make([]float64, len(all))
 
 	check := func(tag string) {
 		t.Helper()
@@ -79,15 +82,16 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 				t.Fatalf("%s: Units(%s) = %d, want %d", tag, ix.Apps[i], u, p.UnitsOf(ix.Apps[i]))
 			}
 		}
-		if err := DeltaPredictIdx(g, all, ix, idxCache, want); err != nil {
-			t.Fatalf("%s: scan path: %v", tag, err)
+		want, err := PredictPlacement(p, preds, scores)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", tag, err)
 		}
-		if err := DeltaPredictPos(g, pst, all, ix, posCache, out); err != nil {
+		if err := DeltaPredictPos(g, pst, m.all, ix, cache, m.out); err != nil {
 			t.Fatalf("%s: postings path: %v", tag, err)
 		}
 		for i, a := range ix.Apps {
-			if out[i] != want[i] {
-				t.Fatalf("%s: app %s = %v via postings, want %v (bit-exact)", tag, a, out[i], want[i])
+			if math.Float64bits(m.out[i]) != math.Float64bits(want[a]) {
+				t.Fatalf("%s: app %s = %v via postings, want %v (bit-exact)", tag, a, m.out[i], want[a])
 			}
 		}
 	}
@@ -102,38 +106,25 @@ func testPosEquivalence(t testing.TB, seed int64, sph int, nilCache bool) {
 		if p.At(ha, sa) == p.At(hb, sb) {
 			continue
 		}
-		if err := p.Swap(ha, sa, hb, sb); err != nil {
-			t.Fatal(err)
-		}
+		m.swap(t, ha, sa, hb, sb)
 		if p.ValidateHosts(ha, hb) != nil {
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
+			m.swap(t, ha, sa, hb, sb)
 			continue
 		}
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
 		check(fmt.Sprintf("seed=%d sph=%d step=%d", seed, sph, step))
 
-		// Undo must restore the postings exactly (the exchange engine
-		// leans on swap/undo symmetry for rejected proposals).
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
-		checkPostings(t, fmt.Sprintf("seed=%d sph=%d step=%d undo", seed, sph, step), g, pst, len(ix.Apps))
-		g.Swap(ha, sa, hb, sb)
-		pst.Swap(g, ha, sa, hb, sb)
+		// Undo must restore the postings and predictions exactly (the
+		// search engines lean on swap/undo symmetry for rejected
+		// proposals).
+		m.swap(t, ha, sa, hb, sb)
+		check(fmt.Sprintf("seed=%d sph=%d step=%d undo", seed, sph, step))
+		m.swap(t, ha, sa, hb, sb)
 	}
-
-	// CopyFrom must produce an independent, identical mirror.
-	var cp Postings
-	cp.CopyFrom(pst)
-	checkPostings(t, "copy", g, &cp, len(ix.Apps))
-	cp.pos[0] = -99
-	checkPostings(t, "copy-independent", g, pst, len(ix.Apps))
 }
 
 // FuzzDeltaPredictPosEquivalence is the fuzz form of the postings
-// equivalence property.
+// equivalence property: whatever the layout seed, slot count, and swap
+// stream, DeltaPredictPos must match PredictPlacement bit for bit.
 func FuzzDeltaPredictPosEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), false)
 	f.Add(int64(2), uint8(3), false)

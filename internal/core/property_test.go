@@ -74,16 +74,16 @@ func affectedApps(p *cluster.Placement, ha, hb int) []string {
 
 // TestPropertyDeltaPredictMatchesFullPredict is the seeded quick-check
 // behind the incremental search engine: across random problems and random
-// swap/undo walks, the incrementally maintained prediction map must stay
+// swap/undo walks, the prediction set DeltaPredictPos maintains must stay
 // bit-identical to a fresh full prediction of the current placement.
 func TestPropertyDeltaPredictMatchesFullPredict(t *testing.T) {
 	rng := sim.NewRNG(2016).Stream("property")
 	for trial := 0; trial < 25; trial++ {
 		r := rng.StreamN("trial", trial)
 		p, apps, preds, scores := randomProblem(t, r)
+		m := newPosMirror(t, p, preds, scores)
 		cache := NewPredictionCache()
-		inc := map[string]float64{}
-		if err := DeltaPredict(p, apps, preds, scores, cache, inc); err != nil {
+		if _, err := m.predict(apps, cache); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 40; step++ {
@@ -94,17 +94,14 @@ func TestPropertyDeltaPredictMatchesFullPredict(t *testing.T) {
 			if p.At(ha, sa) == p.At(hb, sb) {
 				continue
 			}
-			if err := p.Swap(ha, sa, hb, sb); err != nil {
-				t.Fatal(err)
-			}
+			m.swap(t, ha, sa, hb, sb)
 			if r.Bool(0.5) {
 				// Rejected proposal: undo before re-predicting, exactly
 				// as the engine's reject path leaves the placement.
-				if err := p.Swap(ha, sa, hb, sb); err != nil {
-					t.Fatal(err)
-				}
+				m.swap(t, ha, sa, hb, sb)
 			}
-			if err := DeltaPredict(p, affectedApps(p, ha, hb), preds, scores, cache, inc); err != nil {
+			inc, err := m.predict(affectedApps(p, ha, hb), cache)
+			if err != nil {
 				t.Fatal(err)
 			}
 			full, err := PredictPlacement(p, preds, scores)
@@ -135,30 +132,29 @@ func TestPropertyCacheHitsAreBitIdentical(t *testing.T) {
 	rng := sim.NewRNG(2016).Stream("cache-property")
 	for trial := 0; trial < 25; trial++ {
 		r := rng.StreamN("trial", trial)
-		p, apps, preds, scores := randomProblem(t, r)
+		p, _, preds, scores := randomProblem(t, r)
+		m := newPosMirror(t, p, preds, scores)
 		cache := NewPredictionCache()
-		cached := map[string]float64{}
-		bare := map[string]float64{}
+		cached := make([]float64, len(m.all))
+		bare := make([]float64, len(m.all))
 		for step := 0; step < 30; step++ {
 			// Re-predicting the same placement repeatedly forces hits.
-			if err := DeltaPredict(p, apps, preds, scores, cache, cached); err != nil {
+			if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, cache, cached); err != nil {
 				t.Fatal(err)
 			}
-			if err := DeltaPredict(p, apps, preds, scores, nil, bare); err != nil {
+			if err := DeltaPredictPos(m.g, m.pst, m.all, m.ix, nil, bare); err != nil {
 				t.Fatal(err)
 			}
-			for _, app := range apps {
-				if math.Float64bits(cached[app]) != math.Float64bits(bare[app]) {
+			for i, app := range m.ix.Apps {
+				if math.Float64bits(cached[i]) != math.Float64bits(bare[i]) {
 					t.Fatalf("trial %d step %d app %s: cached %v != uncached %v",
-						trial, step, app, cached[app], bare[app])
+						trial, step, app, cached[i], bare[i])
 				}
 			}
 			slots := p.NumHosts * p.HostSlots
 			a, b := r.Intn(slots), r.Intn(slots)
 			if p.At(a/p.HostSlots, a%p.HostSlots) != p.At(b/p.HostSlots, b%p.HostSlots) {
-				if err := p.Swap(a/p.HostSlots, a%p.HostSlots, b/p.HostSlots, b%p.HostSlots); err != nil {
-					t.Fatal(err)
-				}
+				m.swap(t, a/p.HostSlots, a%p.HostSlots, b/p.HostSlots, b%p.HostSlots)
 			}
 		}
 		if hits, _ := cache.Stats(); hits == 0 {

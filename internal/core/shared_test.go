@@ -125,9 +125,9 @@ func TestSharedCacheNilSafe(t *testing.T) {
 	}
 }
 
-// TestSharedCacheUnderDelta: DeltaPredict through wrapped predictors (the
-// serving-plane configuration: per-search cache over the shared tier)
-// matches an uncached full prediction exactly.
+// TestSharedCacheUnderDelta: DeltaPredictPos through wrapped predictors
+// (the serving-plane configuration: per-search cache over the shared
+// tier) matches an uncached full prediction exactly.
 func TestSharedCacheUnderDelta(t *testing.T) {
 	p, preds, scores, _ := deltaFixture(t)
 	want, err := PredictPlacement(p, preds, scores)
@@ -135,11 +135,11 @@ func TestSharedCacheUnderDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := NewSharedPredictionCache()
-	wrapped := sc.WrapAll(preds)
-	out := map[string]float64{}
+	m := newPosMirror(t, p, sc.WrapAll(preds), scores)
 	local := NewPredictionCache()
 	for round := 0; round < 3; round++ {
-		if err := DeltaPredict(p, p.Apps(), wrapped, scores, local, out); err != nil {
+		out, err := m.predict(p.Apps(), local)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for app, v := range want {
@@ -149,6 +149,6 @@ func TestSharedCacheUnderDelta(t *testing.T) {
 		}
 	}
 	if _, misses := sc.Stats(); misses == 0 {
-		t.Error("shared cache never consulted through DeltaPredict")
+		t.Error("shared cache never consulted through DeltaPredictPos")
 	}
 }

@@ -160,7 +160,9 @@ func TestSSEDeliveryAndDisconnect(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// The deadline turns a short stream into a read error below instead
+	// of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), collectTimeout)
 	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/events", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -375,15 +377,17 @@ func TestDriftAndDecisionsEndpoints(t *testing.T) {
 }
 
 // sseCollect reads SSE frames until `want` events arrived or the stream
-// ends, returning the decoded events.
-func sseCollect(t *testing.T, body io.Reader, want int) []Event {
-	t.Helper()
+// ends, returning the decoded events. When progress is non-nil it gets
+// one value per decoded event, so it needs room for want values. It runs
+// on collector goroutines, so it reports failure as an error instead of
+// through t.
+func sseCollect(body io.Reader, want int, progress chan<- struct{}) ([]Event, error) {
 	reader := bufio.NewReader(body)
 	var out []Event
 	for len(out) < want {
 		line, err := reader.ReadString('\n')
 		if err != nil {
-			t.Fatalf("stream ended early after %d events: %v", len(out), err)
+			return out, fmt.Errorf("stream ended early after %d events: %w", len(out), err)
 		}
 		line = strings.TrimRight(line, "\n")
 		if !strings.HasPrefix(line, "data: ") {
@@ -391,11 +395,67 @@ func sseCollect(t *testing.T, body io.Reader, want int) []Event {
 		}
 		var ev Event
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("data line %q is not an Event: %v", line, err)
+			return out, fmt.Errorf("data line %q is not an Event: %w", line, err)
 		}
 		out = append(out, ev)
+		if progress != nil {
+			progress <- struct{}{}
+		}
 	}
-	return out
+	return out, nil
+}
+
+// sseResult is what an SSE collector goroutine hands back.
+type sseResult struct {
+	events []Event
+	err    error
+}
+
+// collectTimeout bounds every wait on an SSE collector, so a stream that
+// delivers fewer events than expected fails the test instead of hanging
+// it until the test-binary timeout.
+const collectTimeout = 30 * time.Second
+
+// awaitCollector receives one collector result, failing the test once
+// collectTimeout passes without one.
+func awaitCollector(t *testing.T, ch <-chan sseResult) sseResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(collectTimeout):
+		t.Fatalf("SSE collector still waiting after %v: the stream delivered fewer events than expected", collectTimeout)
+		panic("unreachable")
+	}
+}
+
+// publishPaced calls publish for events 0..n-1 in bursts of at most
+// burst (the bus buffer) and, after each burst, waits until the
+// collector has decoded every published event it still wants. A
+// draining subscriber is therefore empty when each burst starts and can
+// never overflow, however slowly the machine runs it. It returns the
+// time spent inside publish alone.
+func publishPaced(t *testing.T, n, burst, want int, progress <-chan struct{}, publish func(i int)) time.Duration {
+	t.Helper()
+	var inPublish time.Duration
+	timeout := time.After(collectTimeout)
+	seen := 0
+	for i := 0; i < n; {
+		start := time.Now()
+		for end := min(i+burst, n); i < end; i++ {
+			publish(i)
+		}
+		inPublish += time.Since(start)
+		for seen < min(i, want) {
+			select {
+			case <-progress:
+				seen++
+			case <-timeout:
+				t.Fatalf("collector decoded %d/%d delivered events within %v", seen, min(i, want), collectTimeout)
+			}
+		}
+	}
+	return inPublish
 }
 
 // TestSSEConcurrentSubscribers runs several SSE clients at once while the
@@ -411,11 +471,7 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	type result struct {
-		events []Event
-		err    error
-	}
-	results := make(chan result, clients)
+	results := make(chan sseResult, clients)
 	var ready sync.WaitGroup
 	ready.Add(clients)
 	for c := 0; c < clients; c++ {
@@ -423,18 +479,18 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/events", nil)
 			if err != nil {
 				ready.Done()
-				results <- result{err: err}
+				results <- sseResult{err: err}
 				return
 			}
 			resp, err := http.DefaultClient.Do(req)
 			ready.Done()
 			if err != nil {
-				results <- result{err: err}
+				results <- sseResult{err: err}
 				return
 			}
 			defer resp.Body.Close()
-			evs := sseCollect(t, resp.Body, events)
-			results <- result{events: evs}
+			evs, err := sseCollect(resp.Body, events, nil)
+			results <- sseResult{events: evs, err: err}
 		}()
 	}
 	ready.Wait()
@@ -451,7 +507,7 @@ func TestSSEConcurrentSubscribers(t *testing.T) {
 		})
 	}
 	for c := 0; c < clients; c++ {
-		r := <-results
+		r := awaitCollector(t, results)
 		if r.err != nil {
 			t.Fatalf("client %d: %v", c, r.err)
 		}
@@ -506,46 +562,28 @@ func TestSSESlowConsumer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Fast collector: drain data lines until the stream is cancelled.
+	// Fast collector: drains the stream over HTTP, reporting progress so
+	// the publisher paces itself on actual delivery.
 	const events = 500
-	done := make(chan []Event, 1)
+	const burst = 4 // the bus buffer
+	progress := make(chan struct{}, events)
+	done := make(chan sseResult, 1)
 	go func() {
-		reader := bufio.NewReader(fastResp.Body)
-		var evs []Event
-		for {
-			line, err := reader.ReadString('\n')
-			if err != nil {
-				done <- evs
-				return
-			}
-			line = strings.TrimRight(line, "\n")
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var ev Event
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				t.Errorf("data line %q is not an Event: %v", line, err)
-				continue
-			}
-			evs = append(evs, ev)
-		}
+		evs, err := sseCollect(fastResp.Body, events, progress)
+		done <- sseResult{events: evs, err: err}
 	}()
 
-	start := time.Now()
-	for i := 0; i < events; i++ {
+	elapsed := publishPaced(t, events, burst, events, progress, func(i int) {
 		bus.Publish("drift_detected", map[string]any{"round": i})
-		if i%10 == 0 {
-			// Pace the bursts so the draining client's tiny buffer keeps
-			// up; the stalled client overflows regardless.
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
+	})
+	if elapsed > 10*time.Second {
 		t.Fatalf("publishing blocked on the slow consumer: %v", elapsed)
 	}
-	time.Sleep(100 * time.Millisecond) // let the handler flush its tail
-	fastCancel()
-	evs := <-done
+	fast := awaitCollector(t, done)
+	if fast.err != nil {
+		t.Fatalf("fast client: %v", fast.err)
+	}
+	evs := fast.events
 	if len(evs) < events/2 {
 		t.Fatalf("fast client saw only %d/%d events while a peer stalled", len(evs), events)
 	}

@@ -198,11 +198,7 @@ func TestSLOBreachSSEConcurrentSubscribers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	type result struct {
-		events []Event
-		err    error
-	}
-	results := make(chan result, clients)
+	results := make(chan sseResult, clients)
 	var ready sync.WaitGroup
 	ready.Add(clients)
 	for c := 0; c < clients; c++ {
@@ -210,18 +206,18 @@ func TestSLOBreachSSEConcurrentSubscribers(t *testing.T) {
 			req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/events", nil)
 			if err != nil {
 				ready.Done()
-				results <- result{err: err}
+				results <- sseResult{err: err}
 				return
 			}
 			resp, err := http.DefaultClient.Do(req)
 			ready.Done()
 			if err != nil {
-				results <- result{err: err}
+				results <- sseResult{err: err}
 				return
 			}
 			defer resp.Body.Close()
-			evs := sseCollect(t, resp.Body, events)
-			results <- result{events: evs}
+			evs, err := sseCollect(resp.Body, events, nil)
+			results <- sseResult{events: evs, err: err}
 		}()
 	}
 	ready.Wait()
@@ -238,7 +234,7 @@ func TestSLOBreachSSEConcurrentSubscribers(t *testing.T) {
 		}
 	}
 	for c := 0; c < clients; c++ {
-		r := <-results
+		r := awaitCollector(t, results)
 		if r.err != nil {
 			t.Fatalf("client %d: %v", c, r.err)
 		}
@@ -301,24 +297,28 @@ func TestSLOBreachSSESlowConsumer(t *testing.T) {
 	}
 
 	const events = 200
-	fastDone := make(chan []Event, 1)
-	go func() { fastDone <- sseCollect(t, resp.Body, events/2) }()
+	const burst = 4 // the bus buffer
+	progress := make(chan struct{}, events/2)
+	fastDone := make(chan sseResult, 1)
+	go func() {
+		evs, err := sseCollect(resp.Body, events/2, progress)
+		fastDone <- sseResult{events: evs, err: err}
+	}()
 
-	start := time.Now()
-	for i := 0; i < events; i++ {
+	elapsed := publishPaced(t, events, burst, events/2, progress, func(i int) {
 		if br := tracker.Observe(0.3); br == nil {
 			t.Fatalf("observation %d did not breach", i)
 		}
-		if i%10 == 0 {
-			time.Sleep(time.Millisecond) // let the fast client drain
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
+	})
+	if elapsed > 10*time.Second {
 		t.Fatalf("publishing %d breaches took %v — Observe blocked on the stalled subscriber", events, elapsed)
 	}
 
-	got := <-fastDone
-	for i, ev := range got {
+	fast := awaitCollector(t, fastDone)
+	if fast.err != nil {
+		t.Fatalf("fast client: %v", fast.err)
+	}
+	for i, ev := range fast.events {
 		if ev.Type != EventSLOBreach {
 			t.Fatalf("fast client event %d type = %q, want %q", i, ev.Type, EventSLOBreach)
 		}

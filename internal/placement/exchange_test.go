@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -29,12 +28,11 @@ func digestResult(r Result) uint64 {
 	return h.Sum64()
 }
 
-// Golden digests of the pre-speculation serial hierarchical search
-// (generated at the commit before exchange.go landed) over a
+// Golden digests of the serial hierarchical search over a
 // goal × QoS × method × seed grid on the 8-host test request. They pin
-// the ExchangeWorkers <= 1 path to the historical serial annealer: any
-// drift in draw discipline, evaluation order, or float accumulation
-// flips a digest.
+// the exchange phase to the historical serial annealer: any drift in
+// draw discipline, evaluation order, or float accumulation flips a
+// digest.
 type goldenKey struct {
 	goal Goal
 	qos  bool
@@ -63,10 +61,14 @@ var goldenSerial = map[goldenKey]uint64{
 	{Worst, false, HillClimb, 3}: 0xe678e103ffdf985c,
 }
 
+// deprecatedWorkerCounts feeds the ignored Config.ExchangeWorkers into
+// the golden tests: every value must reproduce the same serial digest.
+var deprecatedWorkerCounts = []int{0, 1, 2, 4}
+
 func TestSerialExchangeGoldens(t *testing.T) {
 	req := testRequest()
 	for key, want := range goldenSerial {
-		for _, workers := range []int{0, 1} {
+		for _, workers := range deprecatedWorkerCounts {
 			var qos *QoS
 			if key.qos {
 				qos = &QoS{App: "sens", MaxNormalized: 1.7}
@@ -125,7 +127,7 @@ func TestSerialExchangeFleetGoldens(t *testing.T) {
 		}
 		down := f.DownAt(key.round)
 		req := fleetRequest(t, spec, down, key.fleetSeed*100+int64(key.cells), 12)
-		for _, workers := range []int{0, 1} {
+		for _, workers := range deprecatedWorkerCounts {
 			cfg := Config{Iterations: 150, Seed: key.fleetSeed, Restarts: 1, Cells: key.cells, ExchangeIters: 300, ExchangeWorkers: workers}
 			res, err := Search(req, cfg)
 			if err != nil {
@@ -135,88 +137,6 @@ func TestSerialExchangeFleetGoldens(t *testing.T) {
 				t.Errorf("%+v workers=%d: digest 0x%016x, want golden 0x%016x", key, workers, got, want)
 			}
 		}
-	}
-}
-
-// TestExchangeWorkersDeterministic: the speculative exchange is a pure
-// function of (Request, Config.Seed) — same seed twice is byte-identical
-// (run under -race this also shakes out data races in the worker
-// fan-out), and the digest is identical for every worker count >= 2
-// (the two-stream draw discipline makes the trajectory independent of
-// how proposals are striped across workers).
-func TestExchangeWorkersDeterministic(t *testing.T) {
-	spec := propFleetSpec()
-	for _, fleetSeed := range []int64{1, 2} {
-		f, err := fleet.Generate(spec, fleetSeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		down := f.DownAt(2)
-		req := fleetRequest(t, spec, down, fleetSeed*100, 12)
-		var ref uint64
-		var refSet bool
-		for _, workers := range []int{2, 4, 8} {
-			cfg := Config{Iterations: 150, Seed: fleetSeed, Restarts: 2, Cells: 5, ExchangeIters: 300, ExchangeWorkers: workers}
-			a, err := Search(req, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Search(req, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			da, db := digestResult(a), digestResult(b)
-			if da != db {
-				t.Fatalf("seed=%d workers=%d: two same-seed runs differ: 0x%016x vs 0x%016x", fleetSeed, workers, da, db)
-			}
-			if !refSet {
-				ref, refSet = da, true
-			} else if da != ref {
-				t.Errorf("seed=%d workers=%d: digest 0x%016x differs from workers=2 digest 0x%016x", fleetSeed, workers, da, ref)
-			}
-		}
-	}
-}
-
-// TestExchangeSpeculativeImproves: the parallel annealer must still do
-// its job — on a fleet-sized request it should accept exchanges and not
-// end worse than the spread phase alone (ExchangeIters=0 ... baseline).
-func TestExchangeSpeculativeImproves(t *testing.T) {
-	spec := propFleetSpec()
-	f, err := fleet.Generate(spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := fleetRequest(t, spec, f.DownAt(0), 300, 16)
-	serial, err := Search(req, Config{Iterations: 150, Seed: 9, Restarts: 1, Cells: 5, ExchangeIters: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec4, err := Search(req, Config{Iterations: 150, Seed: 9, Restarts: 1, Cells: 5, ExchangeIters: 400, ExchangeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both trajectories search the same space with the same budget; the
-	// speculative one must land in the same quality ballpark (within 5%
-	// — the streams differ, so exact equality is not expected).
-	if spec4.Objective > serial.Objective*1.05 {
-		t.Errorf("speculative objective %.4f much worse than serial %.4f", spec4.Objective, serial.Objective)
-	}
-	if err := spec4.Placement.Validate(); err != nil {
-		t.Errorf("speculative placement invalid: %v", err)
-	}
-}
-
-func TestExchangeWorkersValidation(t *testing.T) {
-	req := testRequest()
-	if _, err := Search(req, Config{Iterations: 10, Seed: 1, ExchangeWorkers: -1, Cells: 3}); err == nil || !strings.Contains(err.Error(), "exchange workers") {
-		t.Errorf("negative ExchangeWorkers: got err %v, want validation error", err)
-	}
-	if _, err := Search(req, Config{Iterations: 10, Seed: 1, ExchangeWorkers: 2}); err == nil || !strings.Contains(err.Error(), "exchange workers") {
-		t.Errorf("ExchangeWorkers>1 with flat search: got err %v, want validation error", err)
-	}
-	if _, err := Search(req, Config{Iterations: 10, Seed: 1, ExchangeWorkers: 2, Cells: 1}); err == nil || !strings.Contains(err.Error(), "exchange workers") {
-		t.Errorf("ExchangeWorkers>1 with Cells=1: got err %v, want validation error", err)
 	}
 }
 
@@ -252,7 +172,7 @@ func TestAdaptiveCells(t *testing.T) {
 	if cells < 2 {
 		t.Fatalf("AdaptiveCells(300, 4) = %d, want >= 2", cells)
 	}
-	if _, err := Search(req, Config{Iterations: 20, Seed: 1, Restarts: 1, Cells: cells, ExchangeIters: 20, ExchangeWorkers: 2}); err != nil {
+	if _, err := Search(req, Config{Iterations: 20, Seed: 1, Restarts: 1, Cells: cells, ExchangeIters: 20}); err != nil {
 		t.Fatalf("Search rejected adaptive cell count %d: %v", cells, err)
 	}
 }

@@ -4,10 +4,12 @@
 // contiguous cells (cluster.Partition), spreads the demands across cells
 // by free capacity, anneals each cell independently with the existing
 // restart engine, merges the cell placements in cell order, and then runs
-// a cross-cell exchange phase over the merged placement through the same
-// incremental delta/undo machinery (incEval) the flat search uses —
-// serially by default, or as deterministic speculative parallel annealing
-// when Config.ExchangeWorkers >= 2 (see exchange.go).
+// a serial cross-cell exchange phase over the merged placement through
+// the same incremental delta/undo machinery (incEval) the flat search
+// uses. The exchange stays serial on purpose: nearly half its time is
+// the full-sum objective, which must run in commit order to stay
+// bit-identical, so parallel speculation measured slower than the
+// serial loop at every fleet scale (docs/PERFORMANCE.md).
 //
 // Determinism: the demand spread is greedy with lowest-cell-index
 // tie-breaks, each cell's sub-search seed derives from
@@ -124,11 +126,7 @@ func searchHierarchical(req Request, cfg Config, sign float64) (Result, error) {
 	var best Result
 	var exOut exchangeOutcome
 	pprof.Do(ctx, pprof.Labels("placement_phase", "exchange"), func(context.Context) {
-		if cfg.ExchangeWorkers >= 2 {
-			best, exOut, err = exchangePhaseSpec(merged, req, cfg, sign, cells, down)
-		} else {
-			best, exOut, err = exchangePhase(merged, req, cfg, sign, cells, down)
-		}
+		best, exOut, err = exchangePhase(merged, req, cfg, sign, cells, down)
 	})
 	if err != nil {
 		return Result{}, err
@@ -141,8 +139,10 @@ func searchHierarchical(req Request, cfg Config, sign float64) (Result, error) {
 		cfg.Telemetry.Gauge(MetricCells).Set(float64(len(cells)))
 		cfg.Telemetry.Counter(MetricExchangeProposals).Add(exOut.proposals)
 		cfg.Telemetry.Counter(MetricExchangeAccepted).Add(exOut.accepted)
-		cfg.Telemetry.Counter(MetricExchangeConflicts).Add(exOut.conflicts)
-		cfg.Telemetry.Gauge(MetricExchangeBatchOccupancy).Set(exOut.occupancy)
+		// The serial phase never conflicts and every evaluation is
+		// authoritative: 0 conflicts, occupancy 1.
+		cfg.Telemetry.Counter(MetricExchangeConflicts).Add(0)
+		cfg.Telemetry.Gauge(MetricExchangeBatchOccupancy).Set(1)
 		cfg.Telemetry.Counter(MetricProposals).Add(exOut.proposals)
 		cfg.Telemetry.Counter(MetricAccepted).Add(exOut.accepted)
 		cfg.Telemetry.Counter(MetricRejected).Add(exOut.rejected)
@@ -250,18 +250,13 @@ func searchCell(req Request, cfg Config, hosts []int, demands []cluster.Demand, 
 	return Search(sub, scfg)
 }
 
-// exchangeOutcome carries the exchange phase's counters. conflicts and
-// occupancy are only meaningful for the speculative parallel phase
-// (serial runs report 0 conflicts and occupancy 1: every evaluation is
-// authoritative).
+// exchangeOutcome carries the exchange phase's counters.
 type exchangeOutcome struct {
 	evals     int
 	proposals uint64
 	accepted  uint64
 	rejected  uint64
 	invalid   uint64
-	conflicts uint64
-	occupancy float64
 	hits      uint64
 	misses    uint64
 	chits     uint64
@@ -278,7 +273,7 @@ type exchangeOutcome struct {
 // interleaved on one Stream("exchange")) is pinned by golden digests:
 // this serial phase must stay bit-identical across engine rework.
 func exchangePhase(cur *cluster.Placement, req Request, cfg Config, sign float64, cells [][]int, down map[int]bool) (Result, exchangeOutcome, error) {
-	o := exchangeOutcome{occupancy: 1}
+	var o exchangeOutcome
 	e, err := newIncEval(cur, req, cfg.QoS)
 	if err != nil {
 		return Result{}, o, err

@@ -160,19 +160,10 @@ type Config struct {
 	// after the cell phase (hierarchical search only; 0 defaults to
 	// Iterations). Setting it with Cells <= 1 is a validation error.
 	ExchangeIters int
-	// ExchangeWorkers selects the exchange-phase execution mode. 0 or 1
-	// runs the serial annealer, bit-identical to every release since the
-	// cell-sharded search landed. N >= 2 runs deterministic speculative
-	// parallel annealing: proposals are drawn in batches up front,
-	// evaluated concurrently by N workers against a frozen snapshot, and
-	// committed in draw order with touched-host/touched-app conflict
-	// detection (conflicted proposals are re-evaluated serially). The
-	// speculative trajectory is a pure function of the seed — identical
-	// for every N >= 2 and every batch size — but it consumes its
-	// geometry and acceptance randomness on two separate streams, so its
-	// results differ from (while being statistically equivalent to) the
-	// serial annealer's. Setting it above 1 with Cells <= 1 is a
-	// validation error.
+	// ExchangeWorkers has no effect; it is kept so existing callers
+	// still compile.
+	//
+	// Deprecated: ignored; the exchange phase is serial.
 	ExchangeWorkers int
 
 	// Telemetry, when non-nil, receives the search counters, acceptance
@@ -220,12 +211,9 @@ const (
 	MetricPredCacheCombineHits   = "placement_prediction_cache_combine_hits_total"
 	MetricPredCacheCombineMisses = "placement_prediction_cache_combine_misses_total"
 	// Hierarchical (cell-sharded) search: the cell count in use and the
-	// cross-cell exchange phase's proposal traffic. Conflicts counts
-	// speculative proposals that had to be re-evaluated serially because
-	// an earlier commit in the same batch dirtied one of their hosts or
-	// apps (always 0 in serial mode); batch occupancy is the mean
-	// fraction of speculative evaluations per batch whose results were
-	// consumed as-is (1 in serial mode — all work is authoritative).
+	// cross-cell exchange phase's proposal traffic. The exchange phase is
+	// serial, so conflicts is always 0 and batch occupancy always 1 (all
+	// work is authoritative); both names are kept for report readers.
 	MetricCells                  = "placement_cells"
 	MetricExchangeProposals      = "placement_exchange_proposals_total"
 	MetricExchangeAccepted       = "placement_exchange_accepted_total"
@@ -380,7 +368,7 @@ func Evaluate(p *cluster.Placement, req Request, qos *QoS) (Result, error) {
 // merged in restart order — the Result is bit-identical to a serial
 // sweep for a given seed. Proposals are scored incrementally: a swap
 // touches at most two hosts, so only the applications with units there
-// are re-predicted (core.DeltaPredict, memoized per restart by a
+// are re-predicted (core.DeltaPredictPos, memoized per restart by a
 // core.PredictionCache), and the swap is applied in place and undone on
 // rejection instead of cloning the placement.
 //
@@ -442,12 +430,6 @@ func Search(req Request, cfg Config) (Result, error) {
 	}
 	if cfg.ExchangeIters > 0 && cfg.Cells <= 1 {
 		return Result{}, errors.New("placement: exchange iterations require Cells > 1 (there is no cross-cell phase in the flat search)")
-	}
-	if cfg.ExchangeWorkers < 0 {
-		return Result{}, fmt.Errorf("placement: negative exchange workers %d", cfg.ExchangeWorkers)
-	}
-	if cfg.ExchangeWorkers > 1 && cfg.Cells <= 1 {
-		return Result{}, errors.New("placement: exchange workers require Cells > 1 (there is no cross-cell phase in the flat search)")
 	}
 
 	sign := 1.0
