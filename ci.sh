@@ -2,7 +2,8 @@
 # ci.sh — the repository's continuous-integration gate: vet, build
 # (including the interfd daemon, the loadgen harness, and the benchdiff
 # tool), the full test suite with the race detector (which covers the
-# observability-plane handler tests in internal/obs and cmd/interfd),
+# observability-plane handler tests in internal/obs and cmd/interfd), a
+# CPU-contention rerun of the concurrent plane tests, the fuzz smoke,
 # the loadgen determinism smoke against a live serve-only daemon, and
 # the benchmark regression gate. Run it before every commit.
 set -eu
@@ -30,6 +31,13 @@ go test -race -count=2 ./internal/placement ./internal/core ./internal/profile \
   ./internal/drift ./internal/experiments ./internal/serve \
   ./internal/fleet ./internal/cluster
 
+echo "== go test -cpu 1,2 -count=3 (contention: obs/serve/interfd/loadgen) =="
+# The SSE, admission-queue and daemon tests wait on goroutines that share
+# the CPU with their publishers; rerun them uncached at GOMAXPROCS 1 and 2
+# so a wait that only holds with idle cores fails here instead of hanging
+# a later run.
+go test -cpu 1,2 -count=3 ./internal/obs ./internal/serve ./cmd/interfd ./cmd/loadgen
+
 echo "== fuzz smoke (10s per target) =="
 # Short exploratory runs of the committed fuzz targets; the committed
 # seed corpora in testdata/fuzz already replayed as part of go test above.
@@ -40,6 +48,7 @@ go test -run '^$' -fuzz '^FuzzDeltaPredictPosEquivalence$' -fuzztime 10s ./inter
 go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzFleetSpec$' -fuzztime 10s ./internal/fleet
 go test -run '^$' -fuzz '^FuzzCellPartition$' -fuzztime 10s ./internal/cluster
+go test -run '^$' -fuzz '^FuzzCacheLoadFile$' -fuzztime 10s ./internal/measure
 
 echo "== loadgen smoke (deterministic placement-service reports) =="
 # End-to-end determinism contract of the serving plane over real HTTP:

@@ -34,12 +34,12 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/drift"
@@ -58,8 +58,8 @@ import (
 // daemonConfig collects every tunable of the daemon loop so tests can run
 // it in-process.
 type daemonConfig struct {
+	cli.Common       // -seed, -trace, -log-format, -log-level
 	listen           string
-	seed             int64
 	policy           schedule.Policy
 	mix              []string
 	units            int
@@ -71,16 +71,12 @@ type daemonConfig struct {
 	workMin, workMax float64
 	qosFraction      float64
 	qosBound         float64
-	samples          int // heterogeneity samples per model build
-	workers          int // measurement batch workers (0 = GOMAXPROCS)
-	searchIters      int // placement-search iterations per round
-	searchRestarts   int // parallel annealing restarts per round
-	searchCells      int // hierarchical-search cells (0 = adaptive, 1 = flat search)
-	searchExchange   int // cross-cell exchange proposals (0 = searchIters)
-	seriesCap        int // retained points per convergence series
+	samples          int        // heterogeneity samples per model build
+	workers          int        // measurement batch workers (0 = GOMAXPROCS)
+	search           cli.Search // per-round placement search; also the /api/place defaults
+	seriesCap        int        // retained points per convergence series
 	roundPause       time.Duration
 	reportPath       string
-	tracePath        string
 	faultsPath       string        // JSON fault plan to inject ("" = none)
 	profileRetries   int           // extra build attempts after the first
 	profileBackoff   time.Duration // initial retry backoff, doubled per attempt
@@ -113,14 +109,15 @@ type daemonConfig struct {
 
 func defaultDaemonConfig() daemonConfig {
 	return daemonConfig{
-		listen: ":8080", seed: 1,
+		Common: cli.Common{Tool: "interfd", Seed: 1},
+		listen: ":8080",
 		policy: schedule.ModelDriven,
 		mix:    []string{"M.lmps", "C.libq", "H.KM", "N.cg"},
 		units:  4, hosts: 8, slots: 2,
 		jobUnits: 2, batch: 10, rounds: 0,
 		meanInterarrival: 30, workMin: 20, workMax: 90,
 		qosFraction: 0.25, qosBound: 1.25,
-		samples: 15, searchIters: 600, searchRestarts: 1, seriesCap: 4096,
+		samples: 15, search: cli.Search{Iters: 600, Restarts: 1}, seriesCap: 4096,
 		roundPause:     0,
 		reportPath:     "interfd-report.json",
 		profileRetries: 3, profileBackoff: 50 * time.Millisecond,
@@ -142,69 +139,42 @@ func defaultDaemonConfig() daemonConfig {
 
 func main() {
 	cfg := defaultDaemonConfig()
-	var (
-		listen    = flag.String("listen", cfg.listen, "observability plane address (/metrics, /healthz, /readyz, /api/*, /debug/pprof/)")
-		seed      = flag.Int64("seed", cfg.seed, "experiment seed")
-		policyStr = flag.String("policy", cfg.policy.String(), "scheduling policy: model-driven, random-fit, pack-first")
-		mixCSV    = flag.String("mix", strings.Join(cfg.mix, ","), "comma-separated workload mix to profile and stream")
-		jobUnits  = flag.Int("job-units", cfg.jobUnits, "units per streamed job")
-		batch     = flag.Int("batch", cfg.batch, "jobs per scheduling round")
-		rounds    = flag.Int("rounds", cfg.rounds, "rounds to run (0 = until SIGINT/SIGTERM)")
-		interarr  = flag.Float64("mean-interarrival", cfg.meanInterarrival, "Poisson mean gap between job arrivals, simulated seconds")
-		qosFrac   = flag.Float64("qos-fraction", cfg.qosFraction, "fraction of jobs carrying a QoS bound")
-		qosBound  = flag.Float64("qos-bound", cfg.qosBound, "QoS bound on normalized execution time")
-		samples   = flag.Int("profile-samples", cfg.samples, "heterogeneity samples per startup model build")
-		workers   = flag.Int("workers", cfg.workers, "measurement batch workers (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-		iters     = flag.Int("search-iters", cfg.searchIters, "placement-search iterations per round")
-		restarts  = flag.Int("search-restarts", cfg.searchRestarts, "independent annealing restarts per round, run in parallel")
-		scells    = flag.Int("search-cells", cfg.searchCells, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
-		sexchange = flag.Int("search-exchange", cfg.searchExchange, "cross-cell exchange proposals after the cell phase (0 = search-iters; needs -search-cells > 1)")
-		pause     = flag.Duration("round-pause", cfg.roundPause, "wall-clock pause between rounds")
-		faults    = flag.String("faults", "", "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
-		pRetries  = flag.Int("profile-retries", cfg.profileRetries, "extra model-build attempts per workload before dropping it")
-		pBackoff  = flag.Duration("profile-backoff", cfg.profileBackoff, "initial backoff between model-build retries, doubled per attempt")
-		pTimeout  = flag.Duration("profile-timeout", cfg.profileTimeout, "per-attempt model-build timeout (0 = none)")
-		dAlpha    = flag.Float64("drift-alpha", cfg.driftAlpha, "EWMA learning rate for model-drift residual tracking, in (0,1]")
-		dThresh   = flag.Float64("drift-threshold", cfg.driftThreshold, "relative residual beyond which a matrix cell or app counts as drifting")
-		dStale    = flag.Int("drift-stale-after", cfg.driftStaleAfter, "rounds without a confirming observation before a cell counts stale")
-		dMinObs   = flag.Int("drift-min-obs", cfg.driftMinObs, "per-app observations before drift events may fire")
-		dAudit    = flag.String("drift-audit", cfg.driftAuditPath, "write the placement decision audit log (JSON Lines) to this file at drain ('' = none)")
-		dAuditCap = flag.Int("drift-audit-cap", cfg.driftAuditCap, "decision records retained in the audit ring buffer")
-		serveOnly = flag.Bool("serve-only", cfg.serveOnly, "skip the round loop: profile, arm the placement API, and serve until SIGINT/SIGTERM")
-		addrFile  = flag.String("addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
-		srvQueue  = flag.Int("serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
-		srvBatch  = flag.Int("serve-batch", cfg.serveBatch, "max placement requests executed per dispatcher batch")
-		sloTarget = flag.Float64("slo-target", cfg.sloTarget, "placement API latency SLO target, seconds")
-		sloBudget = flag.Float64("slo-budget", cfg.sloBudget, "placement API error budget: allowed violating request fraction in (0,1)")
-		report    = flag.String("report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
-		trace     = flag.String("trace", "", "write recorded spans as JSON to this file at exit ('-' for stdout)")
-		logFormat = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-	)
+	fs := flag.CommandLine
+	cfg.Common.Bind(fs, "experiment seed")
+	cfg.search.Bind(fs, "search-")
+	cli.WorkersVar(fs, &cfg.workers)
+	policyStr := fs.String("policy", cfg.policy.String(), "scheduling policy: model-driven, random-fit, pack-first")
+	mixCSV := fs.String("mix", strings.Join(cfg.mix, ","), "comma-separated workload mix to profile and stream")
+	fs.StringVar(&cfg.listen, "listen", cfg.listen, "observability plane address (/metrics, /healthz, /readyz, /api/*, /debug/pprof/)")
+	fs.IntVar(&cfg.jobUnits, "job-units", cfg.jobUnits, "units per streamed job")
+	fs.IntVar(&cfg.batch, "batch", cfg.batch, "jobs per scheduling round")
+	fs.IntVar(&cfg.rounds, "rounds", cfg.rounds, "rounds to run (0 = until SIGINT/SIGTERM)")
+	fs.Float64Var(&cfg.meanInterarrival, "mean-interarrival", cfg.meanInterarrival, "Poisson mean gap between job arrivals, simulated seconds")
+	fs.Float64Var(&cfg.qosFraction, "qos-fraction", cfg.qosFraction, "fraction of jobs carrying a QoS bound")
+	fs.Float64Var(&cfg.qosBound, "qos-bound", cfg.qosBound, "QoS bound on normalized execution time")
+	fs.IntVar(&cfg.samples, "profile-samples", cfg.samples, "heterogeneity samples per startup model build")
+	fs.DurationVar(&cfg.roundPause, "round-pause", cfg.roundPause, "wall-clock pause between rounds")
+	fs.StringVar(&cfg.faultsPath, "faults", cfg.faultsPath, "JSON fault plan to inject (node crashes, degrades, profile-cell loss, transient profiling failures)")
+	fs.IntVar(&cfg.profileRetries, "profile-retries", cfg.profileRetries, "extra model-build attempts per workload before dropping it")
+	fs.DurationVar(&cfg.profileBackoff, "profile-backoff", cfg.profileBackoff, "initial backoff between model-build retries, doubled per attempt")
+	fs.DurationVar(&cfg.profileTimeout, "profile-timeout", cfg.profileTimeout, "per-attempt model-build timeout (0 = none)")
+	fs.Float64Var(&cfg.driftAlpha, "drift-alpha", cfg.driftAlpha, "EWMA learning rate for model-drift residual tracking, in (0,1]")
+	fs.Float64Var(&cfg.driftThreshold, "drift-threshold", cfg.driftThreshold, "relative residual beyond which a matrix cell or app counts as drifting")
+	fs.IntVar(&cfg.driftStaleAfter, "drift-stale-after", cfg.driftStaleAfter, "rounds without a confirming observation before a cell counts stale")
+	fs.IntVar(&cfg.driftMinObs, "drift-min-obs", cfg.driftMinObs, "per-app observations before drift events may fire")
+	fs.StringVar(&cfg.driftAuditPath, "drift-audit", cfg.driftAuditPath, "write the placement decision audit log (JSON Lines) to this file at drain ('' = none)")
+	fs.IntVar(&cfg.driftAuditCap, "drift-audit-cap", cfg.driftAuditCap, "decision records retained in the audit ring buffer")
+	fs.BoolVar(&cfg.serveOnly, "serve-only", cfg.serveOnly, "skip the round loop: profile, arm the placement API, and serve until SIGINT/SIGTERM")
+	fs.StringVar(&cfg.addrFile, "addr-file", cfg.addrFile, "write the bound listen address to this file once the plane is up")
+	fs.IntVar(&cfg.serveQueue, "serve-queue", cfg.serveQueue, "placement API admission-queue depth (full queue answers 429)")
+	fs.IntVar(&cfg.serveBatch, "serve-batch", cfg.serveBatch, "max placement requests executed per dispatcher batch")
+	fs.Float64Var(&cfg.sloTarget, "slo-target", cfg.sloTarget, "placement API latency SLO target, seconds")
+	fs.Float64Var(&cfg.sloBudget, "slo-budget", cfg.sloBudget, "placement API error budget: allowed violating request fraction in (0,1)")
+	fs.StringVar(&cfg.reportPath, "report", cfg.reportPath, "write the final JSON RunReport to this file ('-' for stdout)")
 	flag.Parse()
 
-	logger, err := obs.FlagLogger(*logFormat, *logLevel, "interfd")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "interfd:", err)
-		os.Exit(1)
-	}
-
-	cfg.listen, cfg.seed, cfg.mix = *listen, *seed, strings.Split(*mixCSV, ",")
-	cfg.jobUnits, cfg.batch, cfg.rounds = *jobUnits, *batch, *rounds
-	cfg.meanInterarrival, cfg.qosFraction, cfg.qosBound = *interarr, *qosFrac, *qosBound
-	cfg.samples, cfg.searchIters, cfg.roundPause = *samples, *iters, *pause
-	cfg.workers = *workers
-	cfg.searchRestarts = *restarts
-	cfg.searchCells, cfg.searchExchange = *scells, *sexchange
-	cfg.reportPath, cfg.tracePath = *report, *trace
-	cfg.faultsPath = *faults
-	cfg.profileRetries, cfg.profileBackoff, cfg.profileTimeout = *pRetries, *pBackoff, *pTimeout
-	cfg.driftAlpha, cfg.driftThreshold = *dAlpha, *dThresh
-	cfg.driftStaleAfter, cfg.driftMinObs = *dStale, *dMinObs
-	cfg.driftAuditPath, cfg.driftAuditCap = *dAudit, *dAuditCap
-	cfg.serveOnly, cfg.addrFile = *serveOnly, *addrFile
-	cfg.serveQueue, cfg.serveBatch = *srvQueue, *srvBatch
-	cfg.sloTarget, cfg.sloBudget = *sloTarget, *sloBudget
+	logger := cfg.NewLogger()
+	cfg.mix = strings.Split(*mixCSV, ",")
 	switch *policyStr {
 	case schedule.ModelDriven.String():
 		cfg.policy = schedule.ModelDriven
@@ -233,7 +203,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	telemetry.RegisterBuildInfo(reg)
 	bus := obs.NewBus(obs.DefaultBusBuffer)
-	runReport := telemetry.NewRunReport("interfd", cfg.seed, os.Args[1:])
+	runReport := telemetry.NewRunReport(cfg.Tool, cfg.Seed, os.Args[1:])
 
 	// Drift observability: the tracker and decision audit log exist before
 	// the HTTP plane starts so /api/drift, /api/decisions and the report's
@@ -260,7 +230,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 			logger.Info("decision audit written", "path", cfg.driftAuditPath,
 				"records", audit.Len(), "evicted", audit.Dropped())
 		}
-		return telemetry.Emit(runReport, reg, tracer, cfg.reportPath, cfg.tracePath)
+		return telemetry.Emit(runReport, reg, tracer, cfg.reportPath, cfg.Trace)
 	}
 
 	// Placement-as-a-service: the latency SLO tracker, the process-health
@@ -279,8 +249,8 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	}
 	svc, err := serve.New(serve.Config{
 		NumHosts: cfg.hosts, SlotsPerHost: cfg.slots,
-		Seed:       cfg.seed,
-		Iterations: cfg.searchIters, Restarts: cfg.searchRestarts,
+		Seed:       cfg.Seed,
+		Iterations: cfg.search.Iters, Restarts: cfg.search.Restarts,
 		QueueDepth: cfg.serveQueue, MaxBatch: cfg.serveBatch,
 		Workers:   cfg.workers,
 		Telemetry: reg, Tracer: tracer, SLO: slo, Logger: logger,
@@ -347,7 +317,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	// failing is dropped (counted, logged) rather than crashing the
 	// daemon, and a lossy matrix is wrapped in a resilient predictor that
 	// falls back to the naive proportional model on lost cells.
-	env, err := interference.NewPrivateClusterEnv(cfg.seed)
+	env, err := interference.NewPrivateClusterEnv(cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -371,7 +341,7 @@ func runDaemon(ctx context.Context, cfg daemonConfig, logger *slog.Logger) error
 	mixWorkloads := make([]workloads.Workload, 0, len(cfg.mix))
 	bcfg := interference.DefaultBuildConfig()
 	bcfg.Samples = cfg.samples
-	bcfg.Seed = cfg.seed
+	bcfg.Seed = cfg.Seed
 	bcfg.Telemetry = reg
 	bcfg.Tracer = tracer
 	for _, raw := range cfg.mix {
@@ -661,17 +631,9 @@ func runRound(cfg daemonConfig, round int, env *interference.Env,
 		Demands: demands, Predictors: preds, Scores: scores,
 		DownHosts: downs,
 	}
-	pcfg := placement.DefaultConfig(cfg.seed + int64(round))
-	pcfg.Iterations = cfg.searchIters
-	pcfg.Restarts = cfg.searchRestarts
-	if pcfg.Restarts <= 0 {
-		pcfg.Restarts = 1
-	}
-	pcfg.Cells = cfg.searchCells
-	if cfg.searchCells == 0 {
-		pcfg.Cells = placement.AdaptiveCells(cfg.hosts, runtime.GOMAXPROCS(0))
-	}
-	pcfg.ExchangeIters = cfg.searchExchange
+	pcfg := placement.DefaultConfig(cfg.Seed + int64(round))
+	pcfg.Restarts = 1 // the daemon's default; a positive -search-restarts overrides it
+	cfg.search.Apply(&pcfg, cfg.hosts)
 	pcfg.Telemetry = reg
 	pcfg.Tracer = tracer
 	pcfg.OnProgress = func(s placement.ProgressSample) {
@@ -701,14 +663,14 @@ func runRound(cfg daemonConfig, round int, env *interference.Env,
 	}
 
 	// Job stream through the online cluster manager.
-	jobs, err := schedule.Generate(spec, cfg.seed+int64(round))
+	jobs, err := schedule.Generate(spec, cfg.Seed+int64(round))
 	if err != nil {
 		return fmt.Errorf("interfd: round %d stream: %w", round, err)
 	}
 	scfg := schedule.Config{
 		NumHosts: cfg.hosts, SlotsPerHost: cfg.slots,
 		Policy: cfg.policy, Predictors: preds, Scores: scores,
-		Seed:      cfg.seed + int64(round),
+		Seed:      cfg.Seed + int64(round),
 		DownHosts: downs,
 		Telemetry: reg,
 		OnEvent: func(ev schedule.Event) {

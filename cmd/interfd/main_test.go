@@ -29,7 +29,7 @@ func startTestDaemon(t *testing.T, mutate func(*daemonConfig)) (string, context.
 	cfg.mix = []string{"M.lmps", "C.libq", "H.KM", "N.cg"}
 	cfg.samples = 6
 	cfg.batch = 6
-	cfg.searchIters = 300
+	cfg.search.Iters = 300
 	cfg.reportPath = filepath.Join(dir, "report.json")
 	cfg.driftAuditPath = filepath.Join(dir, "decisions.jsonl")
 	addrCh := make(chan string, 1)
@@ -234,7 +234,7 @@ func TestDaemonBoundedRounds(t *testing.T) {
 func TestDaemonExchangeTelemetry(t *testing.T) {
 	_, cancel, errCh, reportPath := startTestDaemon(t, func(c *daemonConfig) {
 		c.rounds = 2
-		c.searchCells = 4
+		c.search.Cells = 4
 	})
 	defer cancel()
 	select {

@@ -27,7 +27,7 @@ func serveOnlyDaemon(t *testing.T, mutate func(*daemonConfig)) (string, context.
 		c.serveOnly = true
 		c.mix = []string{"M.lmps", "C.libq"}
 		c.samples = 4
-		c.searchIters = 120
+		c.search.Iters = 120
 		if mutate != nil {
 			mutate(c)
 		}

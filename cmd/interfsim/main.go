@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,23 +19,20 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/ec2"
 	"repro/internal/fault"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 	"repro/internal/workloads"
 
 	interference "repro"
 )
 
-// logger is installed by main before any fatal path can run.
-var logger = obs.Nop()
-
 func main() {
+	run := cli.NewRun(flag.CommandLine, "interfsim", 1, "experiment seed")
+	run.BindListen(flag.CommandLine)
 	var (
 		name        = flag.String("workload", "M.lmps", "workload name (see -list)")
 		nodes       = flag.Int("nodes", 8, "nodes the application spans")
@@ -45,22 +41,16 @@ func main() {
 		pressureCSV = flag.String("pressures", "", "comma-separated per-node pressures (heterogeneous mode)")
 		useEC2      = flag.Bool("ec2", false, "use the simulated EC2 environment")
 		faultsPath  = flag.String("faults", "", "JSON fault plan to inject (crashes shrink the cluster, degrades slow their host)")
-		seed        = flag.Int64("seed", 1, "experiment seed")
 		list        = flag.Bool("list", false, "list available workloads and exit")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		listen      = flag.String("listen", "", "serve the observability plane (/metrics, /healthz, /readyz, /api/*, /debug/pprof/) on this address for the duration of the run, e.g. :9090")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
 
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "interfsim")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "interfsim:", err)
-		os.Exit(1)
+	if *list {
+		run.Listen = "" // a listing serves no plane
 	}
-	logger = l
+	run.Start()
+	defer run.Stop()
+	fatal, logger, reg := run.Fatal, run.Logger, run.Registry
 
 	out := report.NewReporter(os.Stdout)
 	if *list {
@@ -73,28 +63,21 @@ func main() {
 		return
 	}
 
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("interfsim", *seed, os.Args[1:])
-	srv, plane := servePlane(*listen, reg, tracer, runReport, logger)
-	defer stopPlane(srv, plane)
-
 	w, err := workloads.ByName(*name)
 	if err != nil {
 		fatal(err)
 	}
 	var env *measure.Env
 	if *useEC2 {
-		env, err = ec2.NewEnv(*seed)
+		env, err = ec2.NewEnv(run.Seed)
 	} else {
-		env, err = interference.NewPrivateClusterEnv(*seed)
+		env, err = interference.NewPrivateClusterEnv(run.Seed)
 	}
 	if err != nil {
 		fatal(err)
 	}
 	env.Telemetry = reg
-	env.Tracer = tracer
+	env.Tracer = run.Tracer
 
 	// Fault plan: crashes remap the run's logical nodes onto the i-th
 	// surviving host, degrades slow their host, and transient profiling
@@ -136,9 +119,7 @@ func main() {
 			env.HostDegrade = inj.DegradeFactor
 		}
 	}
-	if srv != nil {
-		srv.SetReady(true)
-	}
+	run.SetReady()
 
 	var pressures []float64
 	if *pressureCSV != "" {
@@ -161,11 +142,11 @@ func main() {
 			len(pressures), survivingHosts))
 	}
 
-	raw, err := runRetrying(inj, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
+	raw, err := runRetrying(inj, logger, func() (float64, error) { return env.RunWithBubbles(w, pressures) })
 	if err != nil {
 		fatal(err)
 	}
-	solo, err := runRetrying(inj, func() (float64, error) { return env.Solo(w, len(pressures)) })
+	solo, err := runRetrying(inj, logger, func() (float64, error) { return env.Solo(w, len(pressures)) })
 	if err != nil {
 		fatal(err)
 	}
@@ -187,44 +168,15 @@ func main() {
 		}
 	}
 
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
+	run.Emit()
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
 }
 
-// servePlane starts the batch-mode observability plane when listen is
-// non-empty; the run serves /metrics etc. until main returns.
-func servePlane(listen string, reg *telemetry.Registry, tracer *telemetry.Tracer,
-	rep *telemetry.RunReport, l *slog.Logger) (*obs.Server, *obs.Running) {
-	if listen == "" {
-		return nil, nil
-	}
-	srv := obs.New(obs.Options{Registry: reg, Tracer: tracer, Report: rep, Logger: l})
-	plane, err := srv.Start(listen)
-	if err != nil {
-		fatal(err)
-	}
-	return srv, plane
-}
-
-func stopPlane(srv *obs.Server, plane *obs.Running) {
-	if plane == nil {
-		return
-	}
-	srv.SetReady(false)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := plane.Shutdown(ctx); err != nil {
-		logger.Warn("plane shutdown", "err", err)
-	}
-}
-
 // runRetrying runs one measurement, retrying transient injected
 // profiling failures a few times before surfacing the error.
-func runRetrying(inj *fault.Injector, run func() (float64, error)) (float64, error) {
+func runRetrying(inj *fault.Injector, logger *slog.Logger, run func() (float64, error)) (float64, error) {
 	const attempts = 5
 	v, err := run()
 	for i := 1; err != nil && inj != nil && i < attempts; i++ {
@@ -236,9 +188,4 @@ func runRetrying(inj *fault.Injector, run func() (float64, error)) (float64, err
 		v, err = run()
 	}
 	return v, err
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
 }

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -339,34 +340,27 @@ func waitReady(client *http.Client, base string, deadline time.Time) error {
 }
 
 func main() {
+	run := cli.NewRun(flag.CommandLine, "loadgen", 1, "trace seed; also drives per-request search seeds")
 	var (
-		addr        = flag.String("addr", "", "base URL of a running interfd, e.g. http://127.0.0.1:9090")
-		addrFile    = flag.String("addr-file", "", "read the target address from this file (interfd -addr-file)")
-		n           = flag.Int("n", 50, "requests in the trace")
-		rate        = flag.Float64("rate", 25, "offered arrival rate, requests/sec")
-		seed        = flag.Int64("seed", 1, "trace seed; also drives per-request search seeds")
-		appsCSV     = flag.String("apps", "M.lmps,C.libq,H.KM,N.cg", "comma-separated app pool to draw request mixes from")
-		servers     = flag.Int("servers", 2, "virtual servers in the latency recurrence")
-		iters       = flag.Int("iters", 0, "per-request search iteration override (0 = server default)")
-		restarts    = flag.Int("restarts", 0, "per-request search restart override (0 = server default)")
-		reportPath  = flag.String("report", "-", "write the deterministic load report here ('-' for stdout)")
-		wait        = flag.Duration("wait", 30*time.Second, "how long to wait for the target to become ready")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		addr       = flag.String("addr", "", "base URL of a running interfd, e.g. http://127.0.0.1:9090")
+		addrFile   = flag.String("addr-file", "", "read the target address from this file (interfd -addr-file)")
+		n          = flag.Int("n", 50, "requests in the trace")
+		rate       = flag.Float64("rate", 25, "offered arrival rate, requests/sec")
+		appsCSV    = flag.String("apps", "M.lmps,C.libq,H.KM,N.cg", "comma-separated app pool to draw request mixes from")
+		servers    = flag.Int("servers", 2, "virtual servers in the latency recurrence")
+		iters      = flag.Int("iters", 0, "per-request search iteration override (0 = server default)")
+		restarts   = flag.Int("restarts", 0, "per-request search restart override (0 = server default)")
+		reportPath = flag.String("report", "-", "write the deterministic load report here ('-' for stdout)")
+		wait       = flag.Duration("wait", 30*time.Second, "how long to wait for the target to become ready")
 	)
 	flag.Parse()
 
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "loadgen")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	logger = l
+	run.Start()
+	logger = run.Logger
+	fatal := run.Fatal
 
 	cfg := genConfig{
-		N: *n, Rate: *rate, Seed: *seed,
+		N: *n, Rate: *rate, Seed: run.Seed,
 		Pool:    strings.Split(*appsCSV, ","),
 		Servers: *servers, Iters: *iters, Restarts: *restarts,
 	}
@@ -376,11 +370,6 @@ func main() {
 	if cfg.N <= 0 || cfg.Rate <= 0 || cfg.Servers <= 0 || len(cfg.Pool) == 0 {
 		fatal(fmt.Errorf("need positive -n, -rate, -servers and a non-empty -apps pool"))
 	}
-
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("loadgen", *seed, os.Args[1:])
 
 	deadline := time.Now().Add(*wait)
 	client := &http.Client{Timeout: *wait}
@@ -393,8 +382,8 @@ func main() {
 		fatal(err)
 	}
 
-	sp := tracer.StartSpan("loadgen.run")
-	_, raw, err := runTrace(cfg, client, base, reg)
+	sp := run.Tracer.StartSpan("loadgen.run")
+	_, raw, err := runTrace(cfg, client, base, run.Registry)
 	sp.End()
 	if err != nil {
 		fatal(err)
@@ -404,12 +393,5 @@ func main() {
 	} else if err := os.WriteFile(*reportPath, raw, 0o644); err != nil {
 		fatal(err)
 	}
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
+	run.Emit()
 }

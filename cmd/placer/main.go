@@ -11,18 +11,15 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -31,64 +28,28 @@ import (
 	interference "repro"
 )
 
-// logger is installed by main before any fatal path can run.
-var logger = obs.Nop()
-
 func main() {
+	run := cli.NewRun(flag.CommandLine, "placer", 1, "experiment seed")
+	run.BindListen(flag.CommandLine)
+	search := cli.Search{Iters: 4000}
+	search.Bind(flag.CommandLine, "")
 	var (
-		appsCSV     = flag.String("apps", "M.milc,C.libq,H.KM,M.lmps", "comma-separated mix of 4 workloads")
-		qosApp      = flag.String("qos", "", "application to protect with a QoS constraint")
-		bound       = flag.Float64("bound", 1.25, "QoS bound on normalized execution time")
-		goal        = flag.String("goal", "best", "search goal: best or worst")
-		iters       = flag.Int("iters", 4000, "annealing iterations")
-		restarts    = flag.Int("restarts", 0, "independent annealing restarts, run in parallel (0 = search default)")
-		cells       = flag.Int("cells", 0, "shard hosts into this many cells for the hierarchical search (0 = size adaptively from the host count, 1 = flat)")
-		exchange    = flag.Int("exchange", 0, "cross-cell exchange proposals after the cell phase (0 = iters; needs cells > 1)")
-		units       = flag.Int("units", 4, "units per application")
-		naive       = flag.Bool("naive", false, "drive the search with the naive proportional model")
-		seed        = flag.Int64("seed", 1, "experiment seed")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		listen      = flag.String("listen", "", "serve the observability plane (/metrics, /healthz, /readyz, /api/*, /debug/pprof/) on this address for the duration of the run, e.g. :9090")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		appsCSV = flag.String("apps", "M.milc,C.libq,H.KM,M.lmps", "comma-separated mix of 4 workloads")
+		qosApp  = flag.String("qos", "", "application to protect with a QoS constraint")
+		bound   = flag.Float64("bound", 1.25, "QoS bound on normalized execution time")
+		goal    = flag.String("goal", "best", "search goal: best or worst")
+		units   = flag.Int("units", 4, "units per application")
+		naive   = flag.Bool("naive", false, "drive the search with the naive proportional model")
 	)
 	flag.Parse()
 
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "placer")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "placer:", err)
-		os.Exit(1)
-	}
-	logger = l
-
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("placer", *seed, os.Args[1:])
+	run.Start()
+	defer run.Stop()
+	fatal, logger, reg, tracer := run.Fatal, run.Logger, run.Registry, run.Tracer
 	out := report.NewReporter(os.Stdout)
 
-	var srv *obs.Server
-	var plane *obs.Running
-	bus := obs.NewBus(obs.DefaultBusBuffer)
-	if *listen != "" {
-		srv = obs.New(obs.Options{Registry: reg, Tracer: tracer, Report: runReport, Bus: bus, Logger: logger})
-		plane, err = srv.Start(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			srv.SetReady(false)
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := plane.Shutdown(ctx); err != nil {
-				logger.Warn("plane shutdown", "err", err)
-			}
-		}()
-	}
-
 	names := strings.Split(*appsCSV, ",")
-	env, err := interference.NewPrivateClusterEnv(*seed)
+	env, err := interference.NewPrivateClusterEnv(run.Seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,7 +62,7 @@ func main() {
 	var demands []interference.Demand
 	counts := map[string]int{}
 	cfg := interference.DefaultBuildConfig()
-	cfg.Seed = *seed
+	cfg.Seed = run.Seed
 	cfg.Telemetry = reg
 	cfg.Tracer = tracer
 	for _, raw := range names {
@@ -138,24 +99,14 @@ func main() {
 		wreg[alias] = w
 		demands = append(demands, interference.Demand{App: alias, Units: *units})
 	}
-	if srv != nil {
-		srv.SetReady(true)
-	}
+	run.SetReady()
 
 	req := interference.PlacementRequest{
 		NumHosts: 8, SlotsPerHost: 2,
 		Demands: demands, Predictors: preds, Scores: scores,
 	}
-	pcfg := interference.DefaultPlacementConfig(*seed)
-	pcfg.Iterations = *iters
-	if *restarts > 0 {
-		pcfg.Restarts = *restarts
-	}
-	pcfg.Cells = *cells
-	if *cells == 0 {
-		pcfg.Cells = placement.AdaptiveCells(req.NumHosts, runtime.GOMAXPROCS(0))
-	}
-	pcfg.ExchangeIters = *exchange
+	pcfg := interference.DefaultPlacementConfig(run.Seed)
+	search.Apply(&pcfg, req.NumHosts)
 	pcfg.Telemetry = reg
 	pcfg.Tracer = tracer
 	pcfg.OnProgress = func(s placement.ProgressSample) {
@@ -163,7 +114,7 @@ func main() {
 			return
 		}
 		if data, err := json.Marshal(s); err == nil {
-			bus.Publish("placement_sample", data)
+			run.Bus.Publish("placement_sample", data)
 		}
 	}
 	switch *goal {
@@ -210,15 +161,8 @@ func main() {
 	}
 	out.Table(tb)
 
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
+	run.Emit()
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
 }

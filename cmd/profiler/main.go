@@ -11,93 +11,51 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/bubble"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/hetero"
 	"repro/internal/measure"
-	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 
 	interference "repro"
 )
 
-// logger is installed by main before any fatal path can run.
-var logger = obs.Nop()
-
 func main() {
+	run := cli.NewRun(flag.CommandLine, "profiler", 1, "experiment seed")
+	run.BindListen(flag.CommandLine)
+	run.BindMeasure(flag.CommandLine)
 	var (
-		name        = flag.String("workload", "M.milc", "workload name")
-		algName     = flag.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
-		samples     = flag.Int("samples", 60, "heterogeneous samples for policy selection")
-		nodes       = flag.Int("nodes", 8, "nodes the application spans while profiled")
-		seed        = flag.Int64("seed", 1, "experiment seed")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "measurement batch workers (1 = serial; results are identical either way)")
-		cachePath   = flag.String("measure-cache", "", "persist the measurement cache to this JSON file (loaded at start, saved at exit)")
-		metricsPath = flag.String("metrics", "", "write a JSON RunReport (metrics snapshot) to this file ('-' for stdout)")
-		tracePath   = flag.String("trace", "", "write recorded spans as JSON to this file ('-' for stdout)")
-		listen      = flag.String("listen", "", "serve the observability plane (/metrics, /healthz, /readyz, /api/*, /debug/pprof/) on this address for the duration of the run, e.g. :9090")
-		logFormat   = flag.String("log-format", obs.LogText, "log format: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		name    = flag.String("workload", "M.milc", "workload name")
+		algName = flag.String("alg", "binary-optimized", "profiling algorithm: binary-optimized, binary-brute, full-brute, random-30%, random-50%")
+		samples = flag.Int("samples", 60, "heterogeneous samples for policy selection")
+		nodes   = flag.Int("nodes", 8, "nodes the application spans while profiled")
 	)
 	flag.Parse()
 
-	l, err := obs.FlagLogger(*logFormat, *logLevel, "profiler")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "profiler:", err)
-		os.Exit(1)
-	}
-	logger = l
-
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-	telemetry.RegisterBuildInfo(reg)
-	runReport := telemetry.NewRunReport("profiler", *seed, os.Args[1:])
+	run.Start()
+	defer run.Stop()
+	fatal, logger := run.Fatal, run.Logger
 	out := report.NewReporter(os.Stdout)
-
-	var srv *obs.Server
-	var plane *obs.Running
-	if *listen != "" {
-		srv = obs.New(obs.Options{Registry: reg, Tracer: tracer, Report: runReport, Logger: logger})
-		plane, err = srv.Start(*listen)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			srv.SetReady(false)
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := plane.Shutdown(ctx); err != nil {
-				logger.Warn("plane shutdown", "err", err)
-			}
-		}()
-	}
 
 	alg, err := parseAlg(*algName)
 	if err != nil {
 		fatal(err)
 	}
-	env, err := interference.NewPrivateClusterEnv(*seed)
+	env, err := interference.NewPrivateClusterEnv(run.Seed)
 	if err != nil {
 		fatal(err)
 	}
-	env.Telemetry = reg
-	env.Tracer = tracer
-	env.Workers = *workers
+	env.Telemetry = run.Registry
+	env.Tracer = run.Tracer
+	env.Workers = run.Workers
 	cache := measure.NewCache()
 	env.Cache = cache
-	if *cachePath != "" {
-		if err := cache.LoadFile(*cachePath); err != nil {
-			fatal(err)
-		}
-	}
+	run.LoadCache(cache)
 	w, err := interference.WorkloadByName(*name)
 	if err != nil {
 		fatal(err)
@@ -106,26 +64,18 @@ func main() {
 	cfg.Algorithm = alg
 	cfg.Samples = *samples
 	cfg.Nodes = *nodes
-	cfg.Seed = *seed
-	cfg.Telemetry = reg
-	cfg.Tracer = tracer
+	cfg.Seed = run.Seed
+	cfg.Telemetry = run.Registry
+	cfg.Tracer = run.Tracer
 	logger.Info("building interference model", "workload", w.Name, "alg", alg.String(), "samples", *samples)
 	model, err := interference.BuildModel(env, w, cfg)
 	if err != nil {
 		fatal(err)
 	}
-	if srv != nil {
-		srv.SetReady(true)
-	}
+	run.SetReady()
 	logger.Info("model built", "workload", model.Workload,
 		"bubble_score", model.BubbleScore, "policy", model.Policy.String())
-	logger.Info("measurement cache", "hits", cache.Hits(), "misses", cache.Misses(), "entries", cache.Len())
-	if *cachePath != "" {
-		if err := cache.SaveFile(*cachePath); err != nil {
-			fatal(err)
-		}
-		logger.Info("measurement cache saved", "path", *cachePath)
-	}
+	run.SaveCache(cache)
 
 	out.KV("workload", "%s", model.Workload)
 	out.KV("bubble score", "%.2f (paper: %.1f)", model.BubbleScore, w.TargetBubbleScore)
@@ -161,9 +111,7 @@ func main() {
 	}
 	out.Table(pol)
 
-	if err := telemetry.Emit(runReport, reg, tracer, *metricsPath, *tracePath); err != nil {
-		fatal(err)
-	}
+	run.Emit()
 	if err := out.Flush(); err != nil {
 		fatal(err)
 	}
@@ -178,9 +126,4 @@ func parseAlg(s string) (core.Algorithm, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown algorithm %q", s)
-}
-
-func fatal(err error) {
-	logger.Error("fatal", "err", err)
-	os.Exit(1)
 }

@@ -365,6 +365,9 @@ func (b *Batch) Group(apps []workloads.Workload, nodes int) *GroupResult {
 	}
 	b.fins = append(b.fins, func() {
 		means, err := resolved(jg)
+		if err == nil {
+			err = checkGroupLen(means, len(jg.group))
+		}
 		if err != nil {
 			h.err = err
 			return

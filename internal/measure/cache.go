@@ -114,7 +114,8 @@ func (c *Cache) SaveFile(path string) error {
 
 // LoadFile merges a previously saved cache file into the cache. A missing
 // file is not an error (first run); a version mismatch discards the file's
-// contents rather than serving stale measurements.
+// contents rather than serving stale measurements. A file holding an
+// empty measurement vector is rejected whole, before anything merges.
 func (c *Cache) LoadFile(path string) error {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -129,6 +130,11 @@ func (c *Cache) LoadFile(path string) error {
 	}
 	if f.Version != cacheFileVersion {
 		return nil
+	}
+	for k, v := range f.Entries {
+		if len(v) == 0 {
+			return fmt.Errorf("measure: cache %s: entry %q holds no values", path, k)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

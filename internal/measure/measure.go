@@ -670,6 +670,9 @@ func (e *Env) groupBody(apps []workloads.Workload, nodes, nonce int) ([]float64,
 
 // groupOutcomes combines group mean times with the per-app solo baselines.
 func (e *Env) groupOutcomes(apps []workloads.Workload, nodes int, means []float64) ([]AppOutcome, error) {
+	if err := checkGroupLen(means, len(apps)); err != nil {
+		return nil, err
+	}
 	outs := make([]AppOutcome, len(apps))
 	for j, a := range apps {
 		solo, err := e.Solo(a, nodes)
@@ -679,6 +682,15 @@ func (e *Env) groupOutcomes(apps []workloads.Workload, nodes int, means []float6
 		outs[j] = AppOutcome{Time: means[j], Solo: solo, Normalized: means[j] / solo, Nodes: nodes}
 	}
 	return outs, nil
+}
+
+// checkGroupLen rejects a group measurement whose value count differs
+// from its app count; only a corrupt cache file can supply one.
+func checkGroupLen(means []float64, apps int) error {
+	if len(means) != apps {
+		return fmt.Errorf("measure: cached group measurement holds %d values for %d apps", len(means), apps)
+	}
+	return nil
 }
 
 // AppOutcome is the measured result for one application in a placement.
